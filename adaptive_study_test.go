@@ -33,7 +33,7 @@ func TestPrunedPointEquivalence(t *testing.T) {
 		}
 	}
 	if pruned.Counters.Pruned.Load() == 0 {
-		t.Error("no injection was pruned — the liveness map did no work")
+		t.Error("no injection was pruned — the interval map did no work")
 	}
 	if pruned.Counters.Simulated.Load() == 0 {
 		t.Error("no injection was simulated — suspicious for a live kernel")

@@ -42,7 +42,7 @@ func (b *StudyBackend) Kernels(ctx context.Context, app string) ([]string, error
 
 // PreRank implements advisor.PreRanker: the flow interval engine's static
 // RF AVF bracket per kernel, from one fault-free traced run of the plain
-// job (cached on the AppEval) — no injection campaigns. The runner uses it
+// job (cached on its golden run) — no injection campaigns. The runner uses it
 // to measure the statically most-exposed kernels first; it cannot change
 // the plan, which is a pure function of the complete measurement maps.
 func (b *StudyBackend) PreRank(ctx context.Context, app string) ([]advisor.StaticRank, error) {
@@ -50,7 +50,7 @@ func (b *StudyBackend) PreRank(ctx context.Context, app string) ([]advisor.Stati
 	if err != nil {
 		return nil, err
 	}
-	si, err := e.staticIntervals(b.Study.Cfg)
+	si, err := e.MicroG.Intervals()
 	if err != nil {
 		return nil, err
 	}

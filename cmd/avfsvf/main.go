@@ -65,7 +65,7 @@ func main() {
 		daemon  = flag.String("daemon", "", "submit campaigns to a running gpureld at this base URL instead of computing locally")
 		adapt   = flag.Bool("adaptive", false, "adaptive sampling: stop each campaign point early once its Wilson 99% CI half-width reaches the target margin")
 		margin  = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the worst-case margin of -n); implies -adaptive")
-		prune   = flag.Bool("prune", false, "liveness-guided pruning of RF injections (bit-identical to brute force)")
+		prune   = flag.Bool("prune", false, "interval-guided pruning of RF and SMEM injections (bit-identical to brute force)")
 		ckpt    = flag.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
 		ckMB    = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB per golden run (0 = default 256, negative = unlimited)")
 		conv    = flag.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")

@@ -9,10 +9,8 @@
 //	gpufi -app VA -structure all -n 1000
 //	gpufi -app VA -structure all -n 3000 -adaptive -prune
 //	                        # adaptive sampling: stop each campaign at ±2.35%,
-//	                        # skip provably-dead RF sites via the liveness map
-//	gpufi -app VA -structure RF -n 3000 -static-prune
-//	                        # like -prune, but the dead set comes from static
-//	                        # dataflow analysis — no golden liveness trace
+//	                        # skip RF/SMEM sites in provably dead intervals
+//	                        # of the golden run's static interval map
 //	gpufi -app VA -structure RF -n 3000 -snap-stride -1 -converge
 //	                        # checkpointed fork-and-join: faulty runs resume
 //	                        # from golden snapshots and rejoin golden early,
@@ -35,7 +33,6 @@ import (
 	"os"
 	"strings"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/cliutil"
@@ -51,25 +48,24 @@ import (
 
 func main() {
 	var (
-		appName     = flag.String("app", "VA", "benchmark application (see -list)")
-		kernel      = flag.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
-		structure   = flag.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
-		n           = flag.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
-		seed        = flag.Int64("seed", 1, "campaign seed")
-		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		tmr         = flag.Bool("tmr", false, "harden the application with thread-level TMR first")
-		burst       = flag.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
-		model       = flag.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
-		stuck       = flag.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
-		lines       = flag.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
-		adaptiveOn  = flag.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
-		margin      = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
-		prune       = flag.Bool("prune", false, "classify provably-dead RF injection sites as Masked from the golden run's liveness map, without simulating")
-		staticPrune = flag.Bool("static-prune", false, "classify RF/SMEM injections landing in statically-dead cycle intervals as Masked (no liveness trace needed); ignored when -prune is set")
-		ckStride    = flag.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
-		ckMB        = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB (0 = default 256, negative = unlimited)")
-		converge    = flag.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
-		list        = flag.Bool("list", false, "list benchmarks and kernels")
+		appName    = flag.String("app", "VA", "benchmark application (see -list)")
+		kernel     = flag.String("kernel", "", "kernel name (K1..Kn); empty = whole application")
+		structure  = flag.String("structure", "RF", "RF, SMEM, L1D, L1T, L2 or all")
+		n          = flag.Int("n", 3000, "injections per campaign (paper: 3000 → ±2.35% at 99% confidence)")
+		seed       = flag.Int64("seed", 1, "campaign seed")
+		workers    = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		tmr        = flag.Bool("tmr", false, "harden the application with thread-level TMR first")
+		burst      = flag.Int("burst", 1, "adjacent multi-bit burst width (1 = single-bit)")
+		model      = flag.String("model", "", "fault model: transient (default), stuck, mbu or control (implied by control structures)")
+		stuck      = flag.Int("stuck", -1, "stuck-at polarity 0 or 1 for -model stuck, or forced-latch polarity for control faults")
+		lines      = flag.Int("lines", 1, "adjacent rows/lines an MBU cluster spans (-model mbu)")
+		adaptiveOn = flag.Bool("adaptive", false, "stop each campaign early once the Wilson-score 99% CI half-width reaches the target margin")
+		margin     = flag.Float64("margin", 0, "target 99% CI half-width for -adaptive (0 = the paper's ±2.35%); implies -adaptive")
+		prune      = flag.Bool("prune", false, "classify transient RF/SMEM injections landing in provably dead cycle intervals as Masked, without simulating")
+		ckStride   = flag.Int64("snap-stride", 0, "golden-run snapshot stride in cycles for fork-and-join injection (0 = off, -1 = auto)")
+		ckMB       = flag.Int64("snap-mb", 0, "snapshot memory budget in MiB (0 = default 256, negative = unlimited)")
+		converge   = flag.Bool("converge", false, "join faulty runs back to golden at the first matching checkpoint; implies -snap-stride -1 if unset")
+		list       = flag.Bool("list", false, "list benchmarks and kernels")
 	)
 	prof := cliutil.Profiling(flag.CommandLine)
 	cliutil.Alias(flag.CommandLine, "snap-stride", "checkpoint")
@@ -113,15 +109,8 @@ func main() {
 	}
 	fmt.Printf("golden run: %d cycles, %d launches\n", g.Res.Cycles, len(g.Res.Spans))
 
-	var lv *ace.Liveness
 	if *prune {
-		if lv, err = ace.TraceRF(job, cfg); err != nil {
-			fatal(err)
-		}
-	}
-	var static *microfi.StaticIntervals
-	if *staticPrune && lv == nil {
-		if static, err = microfi.TraceStatic(job, cfg); err != nil {
+		if _, err := g.Intervals(); err != nil {
 			fatal(err)
 		}
 	}
@@ -179,21 +168,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr}
-		var exp campaign.Experiment
-		if lv != nil && st == gpu.RF {
-			exp = counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectPrunedModel(job, g, lv, tgt, mdl, rng)
-			})
-		} else if static != nil && (st == gpu.RF || st == gpu.SMEM) {
-			exp = counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectStaticModel(job, g, static, tgt, mdl, rng)
-			})
-		} else {
-			exp = counters.Count(func(run int, rng *rand.Rand) faults.Result {
-				return microfi.InjectModel(job, g, tgt, mdl, rng)
-			})
-		}
+		tgt := microfi.Target{Structure: st, Kernel: *kernel, IncludeVote: *tmr, Model: mdl, Prune: *prune}
+		exp := counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+			return microfi.Inject(job, g, tgt, rng)
+		})
 		opts := campaign.Options{Runs: *n, Seed: *seed, Workers: *workers}
 		var tl campaign.Tally
 		if target > 0 {
@@ -218,13 +196,9 @@ func main() {
 		tbl.AddFooter("full-chip AVF (size-weighted): %s  [SDC %s, Timeout %s, DUE %s]",
 			report.Pct(chip.Total()), report.Pct(chip.SDC), report.Pct(chip.Timeout), report.Pct(chip.DUE))
 	}
-	if target > 0 || *prune || static != nil {
-		how := "liveness"
-		if static != nil {
-			how = "static"
-		}
-		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned (%s), %d saved (early stop, target ±%.2f%%)",
-			counters.Simulated.Load(), counters.Pruned.Load(), how, counters.Saved.Load(), 100*target)
+	if target > 0 || *prune {
+		tbl.AddFooter("adaptive sampling: %d simulated, %d pruned, %d saved (early stop, target ±%.2f%%)",
+			counters.Simulated.Load(), counters.Pruned.Load(), counters.Saved.Load(), 100*target)
 	}
 	if ckSpec.Enabled() {
 		ck := g.CheckpointCounts()

@@ -8,6 +8,7 @@ import (
 
 	"gpurel/internal/ace"
 	"gpurel/internal/campaign"
+	"gpurel/internal/faultmodel"
 	"gpurel/internal/faults"
 	"gpurel/internal/funcsim"
 	"gpurel/internal/gpu"
@@ -29,7 +30,8 @@ import (
 func campaignRun(s *Study, e *AppEval, tgt microfi.Target, seed int64) campaign.Tally {
 	return campaign.Run(campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers},
 		func(run int, rng *rand.Rand) faults.Result {
-			return microfi.Inject(e.Job, e.MicroG, tgt, rng)
+			r, _ := microfi.Inject(e.Job, e.MicroG, tgt, rng)
+			return r
 		})
 }
 
@@ -690,7 +692,8 @@ func (s *Study) InputSizeAblation(sizes []int) (string, error) {
 		seedM := s.Seed + int64(hashKey(fmt.Sprintf("size|m|%d", n)))
 		mt := campaign.Run(campaign.Options{Runs: s.Runs, Seed: seedM, Workers: s.Workers},
 			func(run int, rng *rand.Rand) faults.Result {
-				return microfi.Inject(job, mg, tgt, rng)
+				r, _ := microfi.Inject(job, mg, tgt, rng)
+				return r
 			})
 		st := softfi.Target{Kernel: "K1", Mode: softfi.SVF}
 		seedS := s.Seed + int64(hashKey(fmt.Sprintf("size|s|%d", n)))
@@ -834,11 +837,12 @@ func (s *Study) ECCAblation(appName, kernel string, burst int) (string, error) {
 		g := &microfi.GoldenRun{Res: e.MicroG.Res, Cfg: cfg}
 		var structs []metrics.StructAVF
 		for _, st := range gpu.Structures {
-			tgt := microfi.Target{Structure: st, Kernel: kernel, Burst: burst}
+			tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: burst}}
 			seed := s.Seed + int64(hashKey(fmt.Sprintf("ecc|%s|%s|%d|%s|%d", appName, kernel, st, sc.name, burst)))
 			tl := campaign.Run(campaign.Options{Runs: s.Runs, Seed: seed, Workers: s.Workers},
 				func(run int, rng *rand.Rand) faults.Result {
-					return microfi.Inject(e.Job, g, tgt, rng)
+					r, _ := microfi.Inject(e.Job, g, tgt, rng)
+					return r
 				})
 			structs = append(structs, metrics.NewStructAVF(st, tl, tgt.DF(g)))
 		}
@@ -862,7 +866,7 @@ func (s *Study) MultiBitAblation(appName, kernel string, st gpu.Structure, width
 		Header: []string{"Burst width", "SDC", "Timeout", "DUE", "FR×DF"},
 	}
 	for _, w := range widths {
-		tgt := microfi.Target{Structure: st, Kernel: kernel, Burst: w}
+		tgt := microfi.Target{Structure: st, Kernel: kernel, Model: faultmodel.Transient{Width: w}}
 		seed := s.Seed + int64(hashKey(fmt.Sprintf("burst|%s|%s|%d|%d", appName, kernel, st, w)))
 		tl := campaignRun(s, e, tgt, seed)
 		b := metrics.FromTally(tl).Scale(tgt.DF(e.MicroG))

@@ -96,7 +96,9 @@ func (t Tally) Margin99() float64 {
 }
 
 // WilsonCI99 computes the Wilson-score 99% interval for k successes in n
-// trials. n <= 0 returns the vacuous [0, 1].
+// trials. n <= 0 returns the vacuous [0, 1]. The edges are exact: lo is 0 at
+// k = 0 and hi is 1 at k = n, and the interval always contains k/n — the
+// closed form alone can round either bound past the point estimate.
 func WilsonCI99(k, n int) (lo, hi float64) {
 	if n <= 0 {
 		return 0, 1
@@ -107,14 +109,14 @@ func WilsonCI99(k, n int) (lo, hi float64) {
 	denom := 1 + z2/nf
 	center := (p + z2/(2*nf)) / denom
 	half := z99 * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
+	lo, hi = min(center-half, p), max(center+half, p)
+	if k <= 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if k >= n {
 		hi = 1
 	}
-	return lo, hi
+	return max(lo, 0), min(hi, 1)
 }
 
 // WorstCaseMargin99 returns the margin at p=0.5, the a-priori bound quoted

@@ -200,6 +200,25 @@ func TestWilsonCI99(t *testing.T) {
 	}
 }
 
+// TestWilsonCI99Exhaustive: every (k, n) with n <= 5000 yields an ordered
+// interval inside [0, 1] that contains k/n, with exact edges at k = 0 and
+// k = n — the cases where the closed form's rounding used to leave
+// hi = 1-ε at k = n or lo = ε at k = 0.
+func TestWilsonCI99Exhaustive(t *testing.T) {
+	for n := 1; n <= 5000; n++ {
+		for k := 0; k <= n; k++ {
+			lo, hi := WilsonCI99(k, n)
+			p := float64(k) / float64(n)
+			if !(0 <= lo && lo <= p && p <= hi && hi <= 1) {
+				t.Fatalf("WilsonCI99(%d, %d) = [%v, %v] does not bracket %v inside [0, 1]", k, n, lo, hi, p)
+			}
+			if (k == 0 && lo != 0) || (k == n && hi != 1) {
+				t.Fatalf("WilsonCI99(%d, %d) = [%v, %v]: edge not exact", k, n, lo, hi)
+			}
+		}
+	}
+}
+
 // TestWorstCaseMarginDegenerate: a zero-size sample constrains nothing.
 func TestWorstCaseMarginDegenerate(t *testing.T) {
 	if !math.IsInf(WorstCaseMargin99(0), 1) || !math.IsInf(WorstCaseMargin99(-5), 1) {

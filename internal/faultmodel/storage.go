@@ -168,7 +168,7 @@ type drawnEntry struct {
 
 // pickAllocated draws uniformly over the allocated blocks of every SM
 // (SMs in index order, blocks in CTA placement order — the enumeration the
-// pruned injectors replay against their liveness timelines) and returns
+// interval prune replays against its allocation timeline) and returns
 // the owning SM index with the resolved entry.
 func pickAllocated(m *sim.Machine, rng *rand.Rand, blocksOf func(*sim.SM) []sim.RFBlock, bits int) (int, drawnEntry, bool) {
 	type smBlock struct {

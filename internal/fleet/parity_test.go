@@ -40,7 +40,8 @@ func TestFleetLegacyParity(t *testing.T) {
 		tgt := microfi.Target{Structure: gpu.RF}
 		source := func(spec service.JobSpec) (campaign.Experiment, error) {
 			return func(run int, rng *rand.Rand) faults.Result {
-				return microfi.Inject(job, g, tgt, rng)
+				r, _ := microfi.Inject(job, g, tgt, rng)
+				return r
 			}, nil
 		}
 		sched, _, srv := harness(t,

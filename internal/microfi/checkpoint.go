@@ -89,7 +89,7 @@ func (c *CheckpointCounts) Add(o CheckpointCounts) {
 }
 
 // GoldenCheckpointed runs the job fault-free like Golden, additionally
-// capturing machine snapshots per spec so subsequent Inject* calls on the
+// capturing machine snapshots per spec so subsequent Inject calls on the
 // returned GoldenRun fork from checkpoints (and, when spec.Converge is set,
 // join back to golden early). With a disabled spec it is exactly Golden.
 func GoldenCheckpointed(job *device.Job, cfg gpu.Config, spec CheckpointSpec) (*GoldenRun, error) {
@@ -120,7 +120,7 @@ func GoldenCheckpointed(job *device.Job, cfg gpu.Config, spec CheckpointSpec) (*
 	if err := vetGolden(res); err != nil {
 		return nil, err
 	}
-	return &GoldenRun{Res: res, Cfg: cfg, Snaps: snaps, Ckpt: spec, Legacy: spec.Legacy, pool: sim.NewRunPool()}, nil
+	return &GoldenRun{Res: res, Cfg: cfg, Snaps: snaps, Ckpt: spec, Legacy: spec.Legacy, pool: sim.NewRunPool(), job: job}, nil
 }
 
 // vetGolden rejects a reference run that is not usable as golden.
@@ -154,21 +154,17 @@ func goldenCycleBudget(job *device.Job) int64 {
 // the injection cycle (the hook fires at the top of a cycle, snapshots
 // capture its end), converge probing when enabled, and machine-state reuse
 // through the run pool. No-op on a plain Golden run.
-func (g *GoldenRun) accelerate(opts *sim.Options, cycle int64) {
-	g.accelerateModel(opts, cycle, false)
-}
-
-// accelerateModel is accelerate with the armed model's persistence made
-// explicit. Fork-resume stays sound for persistent faults (the skipped
-// prefix is fault-free in both runs), but convergence joins are not: the
-// probe compares post-fault state to fault-free golden checkpoints, and
-// while the fault remains armed an exact state match does not imply an
-// identical continuation — the defect corrupts the joined suffix too. The
-// join probe is therefore withheld for persistent models even when the spec
-// requests it, and each such auto-disable is counted in
+//
+// Fork-resume stays sound for persistent faults (the skipped prefix is
+// fault-free in both runs), but convergence joins are not: the probe
+// compares post-fault state to fault-free golden checkpoints, and while the
+// fault remains armed an exact state match does not imply an identical
+// continuation — the defect corrupts the joined suffix too. The join probe
+// is therefore withheld for persistent models even when the spec requests
+// it, and each such auto-disable is counted in
 // CheckpointCounts.ConvergeDisabled so operators can see the spec was
 // overridden and why throughput dropped.
-func (g *GoldenRun) accelerateModel(opts *sim.Options, cycle int64, persistent bool) {
+func (g *GoldenRun) accelerate(opts *sim.Options, cycle int64, persistent bool) {
 	if g.Snaps == nil {
 		return
 	}

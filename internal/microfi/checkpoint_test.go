@@ -3,7 +3,6 @@ package microfi
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -53,12 +52,8 @@ func TestCheckpointEquivalenceAllApps(t *testing.T) {
 				tgt := Target{Structure: st}
 				for seed := int64(1); seed <= 3; seed++ {
 					opts := campaign.Options{Runs: runsPerPoint, Seed: seed}
-					want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return Inject(job, brute, tgt, rng)
-					})
-					got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return Inject(job, ck, tgt, rng)
-					})
+					want := campaign.Run(opts, experiment(job, brute, tgt))
+					got := campaign.Run(opts, experiment(job, ck, tgt))
 					if got != want {
 						t.Errorf("%s seed %d: checkpointed tally %+v != brute-force %+v",
 							st, seed, got, want)
@@ -101,12 +96,8 @@ func TestCheckpointEquivalenceTMR(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			opts := campaign.Options{Runs: 3, Seed: seed}
-			want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-				return Inject(job, brute, tgt, rng)
-			})
-			got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-				return Inject(job, ck, tgt, rng)
-			})
+			want := campaign.Run(opts, experiment(job, brute, tgt))
+			got := campaign.Run(opts, experiment(job, ck, tgt))
 			if got != want {
 				t.Errorf("converge=%v seed %d: TMR tally %+v != brute-force %+v",
 					converge, seed, got, want)
@@ -121,8 +112,9 @@ func TestCheckpointEquivalenceTMR(t *testing.T) {
 	}
 }
 
-// TestCheckpointStaticEquivalence: the static-pruning injector goes through
-// the same accelerate/converge path; pin it to brute-force InjectStatic.
+// TestCheckpointStaticEquivalence: the interval prune goes through the same
+// accelerate/converge path for the runs it simulates; pin it to the pruned
+// brute-force golden.
 func TestCheckpointStaticEquivalence(t *testing.T) {
 	cfg := gpu.Volta()
 	app, err := kernels.ByName("PathFinder")
@@ -130,10 +122,6 @@ func TestCheckpointStaticEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := app.Build()
-	static, err := TraceStatic(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	brute, err := Golden(job, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +130,10 @@ func TestCheckpointStaticEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := Target{Structure: gpu.RF}
+	tgt := Target{Structure: gpu.RF, Prune: true}
 	for seed := int64(0); seed < 40; seed++ {
-		want, wantPruned := InjectStatic(job, brute, static, tgt, rand.New(rand.NewSource(seed)))
-		got, gotPruned := InjectStatic(job, ck, static, tgt, rand.New(rand.NewSource(seed)))
+		want, wantPruned := injectSeed(job, brute, tgt, seed)
+		got, gotPruned := injectSeed(job, ck, tgt, seed)
 		if got != want || gotPruned != wantPruned {
 			t.Fatalf("seed %d: %+v/%v != %+v/%v", seed, got, gotPruned, want, wantPruned)
 		}
@@ -265,7 +253,7 @@ func TestGoldenCheckpointedDisabled(t *testing.T) {
 	if c := g.CheckpointCounts(); c != (CheckpointCounts{}) {
 		t.Errorf("disabled spec has counts %+v", c)
 	}
-	r := Inject(job, g, Target{Structure: gpu.RF, Kernel: "K1"}, rand.New(rand.NewSource(1)))
+	r, _ := injectSeed(job, g, Target{Structure: gpu.RF, Kernel: "K1"}, 1)
 	if r.Outcome >= faults.NumOutcomes {
 		t.Errorf("bad outcome %v", r.Outcome)
 	}
@@ -337,8 +325,8 @@ func TestCheckpointBudgetWidening(t *testing.T) {
 	}
 	tgt := Target{Structure: gpu.RF, Kernel: "K1"}
 	for seed := int64(0); seed < 30; seed++ {
-		want := Inject(job, brute, tgt, rand.New(rand.NewSource(seed)))
-		got := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
+		want, _ := injectSeed(job, brute, tgt, seed)
+		got, _ := injectSeed(job, g, tgt, seed)
 		if got != want {
 			t.Fatalf("seed %d: %+v != %+v", seed, got, want)
 		}
@@ -430,15 +418,11 @@ func BenchmarkCheckpoint_Speedup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		bruteTally = campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-			return Inject(job, brute, tgt, rng)
-		})
+		bruteTally = campaign.Run(opts, experiment(job, brute, tgt))
 		t1 := time.Now()
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
-		ckTally = campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-			return Inject(job, ck, tgt, rng)
-		})
+		ckTally = campaign.Run(opts, experiment(job, ck, tgt))
 		runtime.ReadMemStats(&ms1)
 		ckDur += time.Since(t1)
 		bruteDur += t1.Sub(t0)

@@ -2,13 +2,11 @@ package microfi
 
 import (
 	"encoding/json"
-	"math/rand"
 	"os"
 	"testing"
 	"time"
 
 	"gpurel/internal/campaign"
-	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
 	"gpurel/internal/kernels"
 )
@@ -73,13 +71,9 @@ func BenchmarkInject_Throughput(b *testing.B) {
 		var slowBest, fastBest time.Duration
 		for p := 0; p < passes; p++ {
 			t0 := time.Now()
-			slowTally = campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-				return Inject(job, slow, tgt, rng)
-			})
+			slowTally = campaign.Run(opts, experiment(job, slow, tgt))
 			t1 := time.Now()
-			fastTally = campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-				return Inject(job, fast, tgt, rng)
-			})
+			fastTally = campaign.Run(opts, experiment(job, fast, tgt))
 			fd, sd := time.Since(t1), t1.Sub(t0)
 			if p == 0 || sd < slowBest {
 				slowBest = sd

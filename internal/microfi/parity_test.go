@@ -1,13 +1,11 @@
 package microfi
 
 import (
-	"math/rand"
 	"testing"
 
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/faultmodel"
-	"gpurel/internal/faults"
 	"gpurel/internal/gpu"
 	"gpurel/internal/kernels"
 )
@@ -20,7 +18,7 @@ import (
 // faulty runs included, where the cores execute corrupted programs whose
 // trajectories never appeared in any golden run.
 
-// TestLegacyParityBruteForce: brute-force InjectModel campaigns across
+// TestLegacyParityBruteForce: brute-force Inject campaigns across
 // structures × fault models must tally identically on both cores. VA covers
 // the storage arrays; LUD (real barriers and divergence) the control sites.
 func TestLegacyParityBruteForce(t *testing.T) {
@@ -52,15 +50,11 @@ func TestLegacyParityBruteForce(t *testing.T) {
 			slow.Legacy = true
 			for name, mdl := range cs.models {
 				for _, st := range cs.structures {
-					tgt := Target{Structure: st}
+					tgt := Target{Structure: st, Model: mdl}
 					for seed := int64(1); seed <= 2; seed++ {
 						opts := campaign.Options{Runs: 2, Seed: seed}
-						want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, slow, tgt, mdl, rng)
-						})
-						got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-							return InjectModel(job, fast, tgt, mdl, rng)
-						})
+						want := campaign.Run(opts, experiment(job, slow, tgt))
+						got := campaign.Run(opts, experiment(job, fast, tgt))
 						if got != want {
 							t.Errorf("%s %s seed %d: µop tally %+v != reference %+v",
 								name, st, seed, got, want)
@@ -110,14 +104,10 @@ func TestLegacyParityCheckpointed(t *testing.T) {
 			}
 			for name, mdl := range cs.models {
 				for _, st := range cs.structures {
-					tgt := Target{Structure: st}
+					tgt := Target{Structure: st, Model: mdl}
 					opts := campaign.Options{Runs: 2, Seed: 3}
-					want := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return InjectModel(job, slow, tgt, mdl, rng)
-					})
-					got := campaign.Run(opts, func(run int, rng *rand.Rand) faults.Result {
-						return InjectModel(job, fast, tgt, mdl, rng)
-					})
+					want := campaign.Run(opts, experiment(job, slow, tgt))
+					got := campaign.Run(opts, experiment(job, fast, tgt))
 					if got != want {
 						t.Errorf("%s %s: µop tally %+v != reference %+v", name, st, got, want)
 					}
@@ -127,9 +117,9 @@ func TestLegacyParityCheckpointed(t *testing.T) {
 	}
 }
 
-// TestLegacyParityStaticPrune: the static-interval pruning injectors must
-// agree on both cores — same prune decisions (the intervals come from a
-// schedule trace, identical by the sim-level parity) and same outcomes for
+// TestLegacyParityStaticPrune: the interval prune must agree on both cores
+// — same prune decisions (each golden run traces its own interval map from
+// a schedule trace, identical by the sim-level parity) and same outcomes for
 // the runs that do simulate.
 func TestLegacyParityStaticPrune(t *testing.T) {
 	cfg := gpu.Volta()
@@ -138,10 +128,6 @@ func TestLegacyParityStaticPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := app.Build()
-	static, err := TraceStatic(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fast, err := Golden(job, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +137,10 @@ func TestLegacyParityStaticPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow.Legacy = true
-	tgt := Target{Structure: gpu.RF}
+	tgt := Target{Structure: gpu.RF, Prune: true}
 	for seed := int64(0); seed < 25; seed++ {
-		want, wantPruned := InjectStatic(job, slow, static, tgt, rand.New(rand.NewSource(seed)))
-		got, gotPruned := InjectStatic(job, fast, static, tgt, rand.New(rand.NewSource(seed)))
+		want, wantPruned := injectSeed(job, slow, tgt, seed)
+		got, gotPruned := injectSeed(job, fast, tgt, seed)
 		if got != want || gotPruned != wantPruned {
 			t.Fatalf("seed %d: µop %+v/%v != reference %+v/%v", seed, got, gotPruned, want, wantPruned)
 		}
@@ -184,12 +170,8 @@ func TestLegacyParityAdaptive(t *testing.T) {
 	tgt := Target{Structure: gpu.RF}
 	opts := campaign.Options{Runs: 120, Seed: 5}
 	pol := adaptive.Policy{Margin: 0.25, Batch: 20}
-	want := adaptive.Run(opts, pol, func(run int, rng *rand.Rand) faults.Result {
-		return Inject(job, slow, tgt, rng)
-	})
-	got := adaptive.Run(opts, pol, func(run int, rng *rand.Rand) faults.Result {
-		return Inject(job, fast, tgt, rng)
-	})
+	want := adaptive.Run(opts, pol, experiment(job, slow, tgt))
+	got := adaptive.Run(opts, pol, experiment(job, fast, tgt))
 	if got != want {
 		t.Fatalf("adaptive result diverges:\nµop       %+v\nreference %+v", got, want)
 	}

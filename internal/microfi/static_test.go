@@ -5,30 +5,34 @@ import (
 	"testing"
 
 	"gpurel/internal/ace"
+	"gpurel/internal/adaptive"
+	"gpurel/internal/campaign"
 	"gpurel/internal/device"
 	"gpurel/internal/faults"
 	"gpurel/internal/flow"
 	"gpurel/internal/gpu"
-	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 	"gpurel/internal/sim"
 )
 
 // overAllocJob is saxpy with four padding registers per thread: allocated in
 // the RF but never touched by any instruction, so statically provably dead.
-// Real kernels carry such over-allocation too (allocation granularity), which
-// is exactly what static pruning harvests without a trace.
+// Real kernels carry such over-allocation too (allocation granularity).
 func overAllocJob(n int) *device.Job {
 	job := saxpyJob(n)
 	job.Steps[0].Launch.Kernel.NumRegs += 4
 	return job
 }
 
+// TestStaticDeadRegs: flow.AlwaysDead flags an over-allocated kernel's
+// padding registers (and not every register), and the interval map agrees —
+// every allocated RF entry holding an always-dead register lies outside
+// every live interval at each sampled cycle, so the interval prune covers
+// all the boolean always-dead analysis could.
 func TestStaticDeadRegs(t *testing.T) {
 	job := overAllocJob(256)
-	dead := StaticDeadRegs(job)
 	prog := job.Steps[0].Launch.Kernel
-	d := dead[prog]
+	d := flow.AlwaysDead(prog)
 	if len(d) != prog.NumRegs {
 		t.Fatalf("dead map has %d entries, want %d", len(d), prog.NumRegs)
 	}
@@ -46,100 +50,43 @@ func TestStaticDeadRegs(t *testing.T) {
 	if nDead == prog.NumRegs {
 		t.Error("every register statically dead — analysis is broken")
 	}
-}
 
-// TestInjectStaticDeadEquivalence is the property behind boolean static
-// pruning: for every seed, InjectStaticDead classifies bit-identically to
-// the brute-force Inject, with provably-dead hits short-circuited.
-func TestInjectStaticDeadEquivalence(t *testing.T) {
-	job := overAllocJob(256)
-	cfg := gpu.Volta()
-	g, err := Golden(job, cfg)
+	g, err := Golden(job, gpu.Volta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := StaticDeadRegs(job)
-	for _, burst := range []int{1, 3} {
-		tgt := Target{Structure: gpu.RF, Kernel: "K1", Burst: burst}
-		pruned, simulated := 0, 0
-		for seed := int64(0); seed < 120; seed++ {
-			want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
-			got, wasPruned := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-			if got != want {
-				t.Fatalf("burst %d seed %d: static %+v != brute-force %+v (pruned=%v)",
-					burst, seed, got, want, wasPruned)
-			}
-			if wasPruned {
-				pruned++
-				if got.Outcome != faults.Masked {
-					t.Fatalf("burst %d seed %d: pruned a non-masked outcome %+v", burst, seed, got)
+	si, err := g.Intervals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, span := range g.Res.Spans {
+		for s := 0; s < 8; s++ {
+			cycle := span.Start + 1 + (span.End-span.Start-1)*int64(s)/8
+			for sm := 0; sm < si.IV.NumSMs(); sm++ {
+				for _, blk := range si.IV.RFBlocksAt(sm, cycle, nil) {
+					for k := 0; k < blk.Size; k++ {
+						if !d[k%prog.NumRegs] {
+							continue
+						}
+						checked++
+						if si.IV.LiveRF(sm, blk.Base+k, cycle) {
+							t.Fatalf("always-dead R%d interval-live at sm=%d phys=%d cycle=%d",
+								k%prog.NumRegs, sm, blk.Base+k, cycle)
+						}
+					}
 				}
-			} else {
-				simulated++
-			}
-		}
-		t.Logf("burst %d: %d pruned, %d simulated", burst, pruned, simulated)
-		if pruned == 0 {
-			t.Errorf("burst %d: no runs pruned — static dead set finds no sites", burst)
-		}
-		if simulated == 0 {
-			t.Errorf("burst %d: all runs pruned — suspiciously aggressive", burst)
-		}
-	}
-}
-
-// TestInjectStaticDeadCampaignTally: aggregated campaign tallies are
-// bit-identical between brute force and boolean static pruning (same seeds
-// → same per-run results → same counts).
-func TestInjectStaticDeadCampaignTally(t *testing.T) {
-	job := overAllocJob(128)
-	cfg := gpu.Volta()
-	g, err := Golden(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := StaticDeadRegs(job)
-	tgt := Target{Structure: gpu.RF, Kernel: "K1"}
-	var brute, static [faults.NumOutcomes]int
-	for seed := int64(0); seed < 80; seed++ {
-		brute[Inject(job, g, tgt, rand.New(rand.NewSource(seed))).Outcome]++
-		r, _ := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-		static[r.Outcome]++
-	}
-	if brute != static {
-		t.Fatalf("campaign tallies differ: brute=%v static=%v", brute, static)
-	}
-}
-
-// TestInjectStaticDeadNonRF: other structures and a nil dead set fall
-// through to Inject verbatim.
-func TestInjectStaticDeadNonRF(t *testing.T) {
-	job := overAllocJob(128)
-	cfg := gpu.Volta()
-	g, _ := Golden(job, cfg)
-	dead := StaticDeadRegs(job)
-	for _, st := range []gpu.Structure{gpu.SMEM, gpu.L2} {
-		tgt := Target{Structure: st, Kernel: "K1"}
-		for seed := int64(0); seed < 15; seed++ {
-			want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
-			got, wasPruned := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-			if wasPruned {
-				t.Fatalf("%s: non-RF run must never be statically pruned", st)
-			}
-			if got != want {
-				t.Fatalf("%s seed %d: %+v != %+v", st, seed, got, want)
 			}
 		}
 	}
-	want := Inject(job, g, Target{Structure: gpu.RF, Kernel: "K1"}, rand.New(rand.NewSource(7)))
-	got, wasPruned := InjectStaticDead(job, g, nil, Target{Structure: gpu.RF, Kernel: "K1"}, rand.New(rand.NewSource(7)))
-	if wasPruned || got != want {
-		t.Errorf("nil dead set must behave as Inject: %+v vs %+v", got, want)
+	if checked == 0 {
+		t.Fatal("no always-dead site sampled")
 	}
 }
 
-// TestStaticSubsetOfDynamic proves the soundness property on every built-in
-// kernel of all 11 apps: a statically-dead architectural register is
+// TestStaticSubsetOfDynamic proves the soundness property of flow.AlwaysDead
+// on every built-in kernel of all 11 apps: a statically-dead architectural
+// register is
 // dynamically dead at every allocated site and cycle of the traced run
 // (static-dead ⊆ ace-dead). The converse is of course false — the dynamic
 // map also knows about last-read-to-overwrite windows.
@@ -149,11 +96,10 @@ func TestStaticSubsetOfDynamic(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			job := app.Build()
-			dead := StaticDeadRegs(job)
 			progByName := map[string]*deadProg{}
 			for i := range job.Steps {
 				if l := job.Steps[i].Launch; l != nil {
-					progByName[l.Name()] = &deadProg{numRegs: l.Kernel.NumRegs, dead: dead[l.Kernel]}
+					progByName[l.Name()] = &deadProg{numRegs: l.Kernel.NumRegs, dead: flow.AlwaysDead(l.Kernel)}
 				}
 			}
 			g, err := Golden(job, cfg)
@@ -201,134 +147,140 @@ type deadProg struct {
 	dead    []bool
 }
 
-// progAt maps an injection cycle back to the program of the kernel whose
-// launch span covers it (launches are sequential).
-func progAt(job *device.Job, spans []sim.LaunchSpan, cycle int64) *isa.Program {
-	for _, s := range spans {
-		if s.Start < cycle && cycle <= s.End {
-			for i := range job.Steps {
-				if l := job.Steps[i].Launch; l != nil && l.Name() == s.Kernel {
-					return l.Kernel
-				}
-			}
-		}
-	}
-	return nil
+// timeline is an allocation timeline with a liveness oracle over it: the
+// static interval map, or the dynamic ace.Liveness reference.
+type timeline struct {
+	numSMs   int
+	blocksAt func(sm int, cycle int64) []sim.RFBlock
+	live     func(sm, idx int, cycle int64) bool
+	bits     int
 }
 
-// drawStatic replays the transient injector's RNG draw sequence against the
-// static allocation timeline without simulating anything, returning the
-// drawn site. ok is false when the run never draws one (empty window, ECC
-// screen, or nothing allocated at the cycle).
-func drawStatic(g *GoldenRun, si *StaticIntervals, t Target, rng *rand.Rand) (sm, idx int, cycle int64, ok bool) {
-	cycle, _, _, done := t.preflight(g, rng)
+// staticTimeline is the interval map's timeline for RF or SMEM.
+func staticTimeline(si *StaticIntervals, st gpu.Structure) timeline {
+	blocksAt, live, bits := si.IV.RFBlocksAt, si.IV.LiveRF, 32
+	if st == gpu.SMEM {
+		blocksAt, live, bits = si.IV.SmemBlocksAt, si.IV.LiveSmem, 8
+	}
+	return timeline{
+		numSMs: si.IV.NumSMs(),
+		blocksAt: func(sm int, cycle int64) []sim.RFBlock {
+			var out []sim.RFBlock
+			for _, b := range blocksAt(sm, cycle, nil) {
+				out = append(out, sim.RFBlock{Base: b.Base, Size: b.Size})
+			}
+			return out
+		},
+		live: live,
+		bits: bits,
+	}
+}
+
+// aceTimeline is the dynamic RF liveness reference's timeline.
+func aceTimeline(lv *ace.Liveness) timeline {
+	return timeline{
+		numSMs:   lv.NumSMs(),
+		blocksAt: func(sm int, cycle int64) []sim.RFBlock { return lv.RFBlocksAt(sm, cycle, nil) },
+		live:     lv.Live,
+		bits:     32,
+	}
+}
+
+// preclassified replays the transient injector's draws for seed against tl
+// without simulating anything and reports whether the run classifies
+// analytically: nothing allocated at the drawn cycle, or a dead site. Runs
+// screened before the site draw (empty window, ECC) are never
+// preclassified.
+func preclassified(g *GoldenRun, tgt Target, tl timeline, seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	cycle, _, done := tgt.preflight(g, tgt.model(), rng)
 	if done {
-		return 0, 0, 0, false
+		return false
 	}
-	blocksAt, bits := si.IV.RFBlocksAt, 32
-	if t.Structure == gpu.SMEM {
-		blocksAt, bits = si.IV.SmemBlocksAt, 8
-	}
-	var blocks []flow.Blk
-	var smOf []int
-	total := 0
-	for s := 0; s < si.IV.NumSMs(); s++ {
-		n := len(blocks)
-		blocks = blocksAt(s, cycle, blocks)
-		for range blocks[n:] {
-			smOf = append(smOf, s)
+	var (
+		blocks []sim.RFBlock
+		smOf   []int
+		total  int
+	)
+	for sm := 0; sm < tl.numSMs; sm++ {
+		for _, b := range tl.blocksAt(sm, cycle) {
+			blocks = append(blocks, b)
+			smOf = append(smOf, sm)
+			total += b.Size
 		}
 	}
-	for _, b := range blocks {
-		total += b.Size
-	}
 	if total == 0 {
-		return 0, 0, 0, false
+		return true
 	}
 	k := rng.Intn(total)
-	_ = rng.Intn(bits) // bit draw, irrelevant to deadness
+	_ = rng.Intn(tl.bits) // bit draw, irrelevant to deadness
 	for i, b := range blocks {
 		if k < b.Size {
-			return smOf[i], b.Base + k, cycle, true
+			return !tl.live(smOf[i], b.Base+k, cycle)
 		}
 		k -= b.Size
 	}
-	panic("drawStatic: overran the allocation timeline")
+	panic("preclassified: overran the allocation timeline")
 }
 
-// TestStaticIntervalPruneProperty is the property-test satellite: on every
-// shipped app × seed, the interval-based InjectStatic classifies
-// bit-identically to brute-force Inject (RF and SMEM), and its prune set is
-// a superset of the boolean AlwaysDead prune — any run InjectStaticDead
-// short-circuits, InjectStatic must short-circuit too.
+// TestStaticIntervalPruneProperty is the per-app prune property: on every
+// shipped app × seed, the interval prune classifies bit-identically to
+// brute force on RF and SMEM, and campaign tallies match. The pruned
+// campaign runs first on parallel workers, so the golden run's interval map
+// is built lazily under concurrent first use.
 func TestStaticIntervalPruneProperty(t *testing.T) {
 	cfg := gpu.Volta()
 	for _, app := range kernels.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			job := app.Build()
-			si, err := TraceStatic(job, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dead := StaticDeadRegs(job)
 			g, err := Golden(job, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
-				tgt := Target{Structure: st}
-				var brute, static [faults.NumOutcomes]int
-				intervalPruned, deadPruned := 0, 0
 				seeds := int64(10)
 				if st == gpu.SMEM {
 					seeds = 6
 				}
+				plain, pruneTgt := Target{Structure: st}, Target{Structure: st, Prune: true}
+				opts := campaign.Options{Runs: int(seeds), Workers: 4}
+				counters := &adaptive.Counters{}
+				static := campaign.Run(opts, counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+					return Inject(job, g, pruneTgt, rng)
+				}))
+				if brute := campaign.Run(opts, experiment(job, g, plain)); brute != static {
+					t.Fatalf("%s: campaign tallies differ: brute=%+v static=%+v", st, brute, static)
+				}
 				for seed := int64(0); seed < seeds; seed++ {
-					want := Inject(job, g, tgt, rand.New(rand.NewSource(seed)))
-					got, pruned := InjectStatic(job, g, si, tgt, rand.New(rand.NewSource(seed)))
+					want, _ := injectSeed(job, g, plain, seed)
+					got, pruned := injectSeed(job, g, pruneTgt, seed)
 					if got != want {
 						t.Fatalf("%s seed %d: interval prune altered the outcome: %+v (pruned=%v) != %+v",
 							st, seed, got, pruned, want)
 					}
-					brute[want.Outcome]++
-					static[got.Outcome]++
-					if pruned {
-						intervalPruned++
-					}
-					if st == gpu.RF {
-						_, dp := InjectStaticDead(job, g, dead, tgt, rand.New(rand.NewSource(seed)))
-						if dp {
-							deadPruned++
-							if !pruned {
-								t.Fatalf("seed %d: AlwaysDead pruned but the interval prune did not — superset violated", seed)
-							}
-						}
-					}
 				}
-				if brute != static {
-					t.Fatalf("%s: campaign tallies differ: brute=%v static=%v", st, brute, static)
-				}
-				t.Logf("%s: interval pruned %d/%d (always-dead %d)", st, intervalPruned, seeds, deadPruned)
+				t.Logf("%s: interval pruned %d/%d", st, counters.Pruned.Load(), seeds)
 			}
 		})
 	}
 }
 
-// BenchmarkStaticPrune measures the static pre-classification and asserts
-// the acceptance criterion: interval pruning pre-classifies a strictly
-// larger run fraction than the AlwaysDead prune on at least 8 of the 11
-// apps (it can only tie where a kernel leaves nothing dead to harvest), the
-// interval prune set is a per-draw superset of the AlwaysDead set, and a
-// simulated campaign's final tallies are bit-identical to brute force.
+// BenchmarkStaticPrune measures the interval prune's pre-classification at
+// fixed draw seeds 0..399 on every app and asserts its acceptance gate
+// against the dynamic reference: per app, the RF runs the interval map
+// pre-classifies are at least 99% of those ace.Liveness would (the static
+// map over-approximates liveness, so it can only trail the dynamic one),
+// the SMEM prune — which the dynamic reference cannot offer — fires on
+// every app, and pruned campaign tallies are bit-identical to brute force.
 func BenchmarkStaticPrune(b *testing.B) {
 	cfg := gpu.Volta()
 	type appState struct {
-		app  kernels.App
-		job  *device.Job
-		g    *GoldenRun
-		si   *StaticIntervals
-		dead StaticDead
+		app kernels.App
+		job *device.Job
+		g   *GoldenRun
+		si  *StaticIntervals
+		lv  *ace.Liveness
 	}
 	var apps []appState
 	for _, app := range kernels.All() {
@@ -337,79 +289,74 @@ func BenchmarkStaticPrune(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		si, err := TraceStatic(job, cfg)
+		si, err := g.Intervals()
 		if err != nil {
 			b.Fatal(err)
 		}
-		apps = append(apps, appState{app, job, g, si, StaticDeadRegs(job)})
+		lv, err := ace.TraceRF(job, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps = append(apps, appState{app, job, g, si, lv})
 	}
 	const drawSeeds = 400
-	tgt := Target{Structure: gpu.RF}
-	intervalHits := make([]int, len(apps))
-	deadHits := make([]int, len(apps))
-	draws := make([]int, len(apps))
+	rf, smem := Target{Structure: gpu.RF}, Target{Structure: gpu.SMEM}
+	ivRF := make([]int, len(apps))
+	aceRF := make([]int, len(apps))
+	ivSmem := make([]int, len(apps))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ai := range apps {
 			a := &apps[ai]
-			intervalHits[ai], deadHits[ai], draws[ai] = 0, 0, 0
+			rfIv, rfAce, smemIv := staticTimeline(a.si, gpu.RF), aceTimeline(a.lv), staticTimeline(a.si, gpu.SMEM)
+			ivRF[ai], aceRF[ai], ivSmem[ai] = 0, 0, 0
 			for seed := int64(0); seed < drawSeeds; seed++ {
-				sm, idx, cycle, ok := drawStatic(a.g, a.si, tgt, rand.New(rand.NewSource(seed)))
-				if !ok {
-					continue
+				if preclassified(a.g, rf, rfIv, seed) {
+					ivRF[ai]++
 				}
-				draws[ai]++
-				ivDead := !a.si.IV.LiveRF(sm, idx, cycle)
-				adDead := false
-				if p := progAt(a.job, a.si.Spans, cycle); p != nil {
-					if d := a.dead[p]; d != nil {
-						adDead = d[idx%p.NumRegs]
-					}
+				if preclassified(a.g, rf, rfAce, seed) {
+					aceRF[ai]++
 				}
-				if adDead && !ivDead {
-					b.Fatalf("%s seed %d: AlwaysDead site not interval-dead (sm=%d idx=%d cycle=%d)",
-						a.app.Name, seed, sm, idx, cycle)
-				}
-				if ivDead {
-					intervalHits[ai]++
-				}
-				if adDead {
-					deadHits[ai]++
+				if preclassified(a.g, smem, smemIv, seed) {
+					ivSmem[ai]++
 				}
 			}
 		}
 	}
 	b.StopTimer()
 
-	strictlyLarger := 0
-	var sumIv, sumDead float64
-	for ai := range apps {
-		ivFrac := float64(intervalHits[ai]) / float64(drawSeeds)
-		dFrac := float64(deadHits[ai]) / float64(drawSeeds)
-		sumIv += ivFrac
-		sumDead += dFrac
-		if intervalHits[ai] > deadHits[ai] {
-			strictlyLarger++
+	var sumRF, sumAce, sumSmem float64
+	for ai, a := range apps {
+		b.Logf("%-10s RF interval %3d  ace %3d   SMEM interval %3d   (of %d draws)",
+			a.app.Name, ivRF[ai], aceRF[ai], ivSmem[ai], drawSeeds)
+		if float64(ivRF[ai]) < 0.99*float64(aceRF[ai]) {
+			b.Errorf("%s: interval RF prune %d < 0.99 × dynamic reference %d", a.app.Name, ivRF[ai], aceRF[ai])
 		}
-		b.Logf("%-10s interval prune %5.1f%%  always-dead %5.1f%%  (%d draws)",
-			apps[ai].app.Name, 100*ivFrac, 100*dFrac, draws[ai])
+		if ivSmem[ai] == 0 {
+			b.Errorf("%s: interval SMEM prune never fires", a.app.Name)
+		}
+		sumRF += float64(ivRF[ai]) / drawSeeds
+		sumAce += float64(aceRF[ai]) / drawSeeds
+		sumSmem += float64(ivSmem[ai]) / drawSeeds
 	}
-	if strictlyLarger < 8 {
-		b.Fatalf("interval pruning beats AlwaysDead on only %d of %d apps, want >= 8", strictlyLarger, len(apps))
-	}
-	b.ReportMetric(100*sumIv/float64(len(apps)), "%interval-pruned")
-	b.ReportMetric(100*sumDead/float64(len(apps)), "%alwaysdead-pruned")
+	n := float64(len(apps))
+	b.ReportMetric(100*sumRF/n, "%rf-interval-pruned")
+	b.ReportMetric(100*sumAce/n, "%rf-ace-pruned")
+	b.ReportMetric(100*sumSmem/n, "%smem-interval-pruned")
 
 	// Bit-identity of the end-to-end campaign, small seed set per app.
 	for _, a := range apps {
-		var brute, static [faults.NumOutcomes]int
-		for seed := int64(0); seed < 5; seed++ {
-			brute[Inject(a.job, a.g, tgt, rand.New(rand.NewSource(seed))).Outcome]++
-			r, _ := InjectStatic(a.job, a.g, a.si, tgt, rand.New(rand.NewSource(seed)))
-			static[r.Outcome]++
-		}
-		if brute != static {
-			b.Fatalf("%s: tallies differ: brute=%v static=%v", a.app.Name, brute, static)
+		for _, st := range []gpu.Structure{gpu.RF, gpu.SMEM} {
+			var brute, pruned [faults.NumOutcomes]int
+			for seed := int64(0); seed < 5; seed++ {
+				r, _ := injectSeed(a.job, a.g, Target{Structure: st}, seed)
+				brute[r.Outcome]++
+				r, _ = injectSeed(a.job, a.g, Target{Structure: st, Prune: true}, seed)
+				pruned[r.Outcome]++
+			}
+			if brute != pruned {
+				b.Fatalf("%s %s: tallies differ: brute=%v pruned=%v", a.app.Name, st, brute, pruned)
+			}
 		}
 	}
 }

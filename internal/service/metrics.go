@@ -120,7 +120,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]int) {
 		pruneHits = m.counters.Pruned.Load()
 		simulated = m.counters.Simulated.Load()
 	}
-	fmt.Fprintln(w, "# HELP gpureld_prune_hits_total Injections classified analytically from the liveness map.")
+	fmt.Fprintln(w, "# HELP gpureld_prune_hits_total Injections classified analytically from the static interval map.")
 	fmt.Fprintln(w, "# TYPE gpureld_prune_hits_total counter")
 	fmt.Fprintf(w, "gpureld_prune_hits_total %d\n", pruneHits)
 

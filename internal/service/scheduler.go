@@ -52,7 +52,7 @@ type Config struct {
 	// CheckpointInterval is the periodic flush cadence (default 2s).
 	CheckpointInterval time.Duration
 	// Counters, when set, is the study-side sampling-efficiency aggregate
-	// (simulated runs, liveness prune hits) shared with the experiment
+	// (simulated runs, interval prune hits) shared with the experiment
 	// source; /metrics exports it alongside the scheduler's own counters.
 	Counters *adaptive.Counters
 	// CheckpointStats, when set, reads the study-side fork-and-join

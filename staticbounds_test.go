@@ -68,7 +68,7 @@ func TestStaticBoundsArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		si, err := microfi.TraceStatic(job, cfg)
+		si, err := g.Intervals()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +78,11 @@ func TestStaticBoundsArtifact(t *testing.T) {
 				t.Errorf("%s/%v: interval engine reports unsupported", app.Name, st)
 				continue
 			}
-			tgt := microfi.Target{Structure: st}
+			tgt := microfi.Target{Structure: st, Prune: true}
 			counters := &adaptive.Counters{}
 			tl := campaign.Run(campaign.Options{Runs: runs, Seed: 1},
 				counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-					return microfi.InjectStatic(job, g, si, tgt, rng)
+					return microfi.Inject(job, g, tgt, rng)
 				}))
 			pruned := int(counters.Pruned.Load())
 			upper := float64(tl.N-pruned) / float64(tl.N)

@@ -17,7 +17,6 @@ import (
 
 	"sync"
 
-	"gpurel/internal/ace"
 	"gpurel/internal/adaptive"
 	"gpurel/internal/campaign"
 	"gpurel/internal/device"
@@ -55,7 +54,7 @@ type Study struct {
 	Sampling *SamplingPolicy
 
 	// Counters, when non-nil, accumulates sampling-efficiency statistics
-	// (simulated runs, liveness prune hits, runs saved by early stopping)
+	// (simulated runs, interval prune hits, runs saved by early stopping)
 	// across every campaign the study executes.
 	Counters *adaptive.Counters
 
@@ -89,8 +88,8 @@ func NewStudy(runs int, seed int64) *Study {
 func (s *Study) Apps() []kernels.App { return kernels.All() }
 
 // AppEval is the cached per-application state: plain and hardened jobs with
-// their golden runs on both simulators, plus (built on first pruned campaign)
-// the register-file liveness maps of the golden runs.
+// their golden runs on both simulators. Each micro golden run builds its
+// static interval map (microfi.GoldenRun.Intervals) on first pruned use.
 type AppEval struct {
 	App kernels.App
 
@@ -101,31 +100,19 @@ type AppEval struct {
 	MicroGTMR *microfi.GoldenRun
 	SoftGTMR  *softfi.GoldenRun
 
-	liveOnce [2]sync.Once // [plain, hardened]
-	live     [2]*ace.Liveness
-	liveErr  [2]error
-
-	staticOnce sync.Once
-	static     *microfi.StaticIntervals
-	staticErr  error
-
 	selMu sync.Mutex
 	sel   map[string]*selEval // selective variants, keyed by Set.Canonical()
 }
 
 // selEval is one cached selectively-hardened variant of an application:
-// the harden.Selective job, its micro golden run, and (on first pruned
-// campaign) its RF liveness map. Proper subsets only — the empty and full
-// protection sets normalize to the plain and TMR states of AppEval.
+// the harden.Selective job and its micro golden run. Proper subsets only —
+// the empty and full protection sets normalize to the plain and TMR states
+// of AppEval.
 type selEval struct {
 	once sync.Once
 	Job  *device.Job
 	G    *microfi.GoldenRun
 	err  error
-
-	liveOnce sync.Once
-	live     *ace.Liveness
-	liveErr  error
 }
 
 // selective returns (building and caching on first use) the selectively
@@ -150,37 +137,6 @@ func (e *AppEval) selective(cfg gpu.Config, ck microfi.CheckpointSpec, set harde
 		return nil, fmt.Errorf("%s+SEL(%s): %w", e.App.Name, key, se.err)
 	}
 	return se, nil
-}
-
-// liveness traces (once) the RF liveness map of the selective golden run.
-func (se *selEval) liveness(cfg gpu.Config) (*ace.Liveness, error) {
-	se.liveOnce.Do(func() {
-		se.live, se.liveErr = ace.TraceRF(se.Job, cfg)
-	})
-	return se.live, se.liveErr
-}
-
-// liveness returns (tracing on first use) the RF liveness map of the plain or
-// hardened golden run.
-func (e *AppEval) liveness(cfg gpu.Config, hardened bool) (*ace.Liveness, error) {
-	i, job := 0, e.Job
-	if hardened {
-		i, job = 1, e.JobTMR
-	}
-	e.liveOnce[i].Do(func() {
-		e.live[i], e.liveErr[i] = ace.TraceRF(job, cfg)
-	})
-	return e.live[i], e.liveErr[i]
-}
-
-// staticIntervals traces (once) the static ACE-interval map of the plain
-// job — one fault-free run, no injections; the advisor's zero-cost
-// pre-ranking stage reads its static AVF bounds.
-func (e *AppEval) staticIntervals(cfg gpu.Config) (*microfi.StaticIntervals, error) {
-	e.staticOnce.Do(func() {
-		e.static, e.staticErr = microfi.TraceStatic(e.Job, cfg)
-	})
-	return e.static, e.staticErr
 }
 
 type microKey struct {
@@ -218,10 +174,11 @@ type SamplingPolicy struct {
 	// Batch is the run-index granularity of the stop rule
 	// (0 = adaptive.DefaultBatch).
 	Batch int
-	// Prune enables liveness-guided pruning of register-file injections:
-	// provably-dead sites classify as Masked from the golden run's liveness
-	// map instead of being simulated. Classifications are bit-identical to
-	// brute force (microfi.InjectPruned).
+	// Prune enables interval-guided pruning of register-file and
+	// shared-memory injections: transient faults on provably dead sites
+	// classify as Masked from the golden run's static interval map instead
+	// of being simulated. Classifications are bit-identical to brute force
+	// (microfi.Target.Prune); other fault models run unpruned.
 	Prune bool
 }
 
@@ -333,7 +290,6 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 		}
 		job, g := e.Job, e.MicroG
 		includeVote := spec.Hardened
-		liveness := func() (*ace.Liveness, error) { return e.liveness(s.Cfg, spec.Hardened) }
 		switch {
 		case len(spec.Harden) > 0:
 			if spec.Hardened {
@@ -343,7 +299,6 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 			if set.Covers(e.Job) {
 				// Full-set selective = TMR, bit for bit; share its golden.
 				job, g, includeVote = e.JobTMR, e.MicroGTMR, true
-				liveness = func() (*ace.Liveness, error) { return e.liveness(s.Cfg, true) }
 				break
 			}
 			se, err := e.selective(s.Cfg, ck, set)
@@ -354,22 +309,20 @@ func (s *Study) PointExperiment(spec PointSpec) (campaign.Experiment, error) {
 			// windows count toward a kernel exactly when that kernel is in
 			// the protection set.
 			job, g, includeVote = se.Job, se.G, set.Has(spec.Kernel)
-			liveness = func() (*ace.Liveness, error) { return se.liveness(s.Cfg) }
 		case spec.Hardened:
 			job, g = e.JobTMR, e.MicroGTMR
 		}
-		t := microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: includeVote}
-		if spec.Sampling != nil && spec.Sampling.Prune && spec.Structure == gpu.RF {
-			lv, err := liveness()
-			if err != nil {
+		t := microfi.Target{Structure: spec.Structure, Kernel: spec.Kernel, IncludeVote: includeVote,
+			Model: mdl, Prune: spec.Sampling != nil && spec.Sampling.Prune}
+		if t.Prune && (t.Structure == gpu.RF || t.Structure == gpu.SMEM) {
+			// Trace the interval map now, so its cost lands in setup and a
+			// trace failure surfaces here instead of silently unpruning.
+			if _, err := g.Intervals(); err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.App, err)
 			}
-			return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
-				return microfi.InjectPrunedModel(job, g, lv, t, mdl, rng)
-			}), nil
 		}
-		return s.Counters.Count(func(run int, rng *rand.Rand) faults.Result {
-			return microfi.InjectModel(job, g, t, mdl, rng)
+		return s.Counters.Instrument(func(run int, rng *rand.Rand) (faults.Result, bool) {
+			return microfi.Inject(job, g, t, rng)
 		}), nil
 	case LayerSoft:
 		if !spec.faultSpec().IsDefault() {
@@ -567,8 +520,8 @@ func (s *Study) KernelAVF(appName, kernel string, hardened bool) (metrics.Breakd
 // metrics.ChipAVF recombines with, so precision is spent where it moves the
 // chip AVF most). Per-structure tallies are deterministic prefixes of the
 // corresponding fixed-n campaigns and are cached, so later MicroTally calls
-// for these points reuse them. Liveness pruning of RF runs follows the
-// study's Sampling policy.
+// for these points reuse them. Interval pruning of RF and SMEM runs
+// follows the study's Sampling policy.
 func (s *Study) KernelAVFStratified(appName, kernel string, hardened bool, pol adaptive.StratifiedPolicy) (metrics.Breakdown, []metrics.StructAVF, []adaptive.StratumResult, error) {
 	e, err := s.Eval(appName)
 	if err != nil {
