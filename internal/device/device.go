@@ -186,11 +186,14 @@ type PagedState struct {
 // must treat the pages as read-only.
 func (st *PagedState) Pages() [][]byte { return st.pages }
 
-// StateBytes returns the standalone (sharing-ignored) size of the state.
+// StateBytes returns the standalone (sharing-ignored) size of the state. The
+// shared zero page is retained by the package, not the state, and counts 0.
 func (st *PagedState) StateBytes() int64 {
 	var n int64
 	for _, pg := range st.pages {
-		n += int64(len(pg))
+		if !IsZeroPage(pg) {
+			n += int64(len(pg))
+		}
 	}
 	return n + int64(len(st.allocs))*24
 }
@@ -199,11 +202,20 @@ func samePage(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
+// zeroPage backs every all-zero full page of every PagedState. Snapshots are
+// immutable, so nothing ever writes it.
+var zeroPage [pageBytes]byte
+
+// IsZeroPage reports whether pg is the shared zero page, which retained-byte
+// accounting counts as 0 bytes.
+func IsZeroPage(pg []byte) bool { return samePage(pg, zeroPage[:]) }
+
 // SavePaged snapshots the memory into st. Pages whose dirty bit is clear are
 // shared with prev — the caller guarantees prev is the provenance base the
 // dirty bits are relative to (every clean page is bit-identical to prev's).
-// prev nil forces a full copy. Dirty bits are left untouched; the caller
-// clears them when it re-bases its provenance on the new snapshot.
+// prev nil forces a full copy. Copied full pages that are all zero alias the
+// shared zero page instead. Dirty bits are left untouched; the caller clears
+// them when it re-bases its provenance on the new snapshot.
 func (m *Memory) SavePaged(st, prev *PagedState) {
 	np := m.numPages()
 	st.pages = make([][]byte, np)
@@ -214,7 +226,11 @@ func (m *Memory) SavePaged(st, prev *PagedState) {
 		}
 		lo := p * pageBytes
 		hi := min(lo+pageBytes, len(m.data))
-		st.pages[p] = append([]byte(nil), m.data[lo:hi]...)
+		if src := m.data[lo:hi]; bytes.Equal(src, zeroPage[:]) {
+			st.pages[p] = zeroPage[:]
+		} else {
+			st.pages[p] = append([]byte(nil), src...)
+		}
 	}
 	st.next = m.next
 	st.allocs = append([]Alloc(nil), m.allocs...)

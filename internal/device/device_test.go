@@ -193,3 +193,37 @@ func TestLaunchReplicaParams(t *testing.T) {
 		t.Errorf("geometry: threads=%d ctas=%d", l.ThreadsPerCTA(), l.NumCTAs())
 	}
 }
+
+// TestSavePagedZeroPage: all-zero full pages alias the shared zero page,
+// which costs no retained bytes and restores and compares like a copy.
+func TestSavePagedZeroPage(t *testing.T) {
+	m := NewMemory(4 * pageBytes)
+	a := m.Alloc("a", 2*pageBytes)
+	m.PokeU32(a, 7)
+	var st PagedState
+	m.SavePaged(&st, nil)
+	zero := 0
+	for _, pg := range st.Pages() {
+		if IsZeroPage(pg) {
+			zero++
+		}
+	}
+	if zero != 3 {
+		t.Fatalf("%d zero pages, want 3 (every page but the written one)", zero)
+	}
+	if got, want := st.StateBytes(), int64(pageBytes+24); got != want {
+		t.Errorf("StateBytes %d, want %d (one copied page plus the alloc)", got, want)
+	}
+	m.ClearPageDirty()
+	m.PokeU32(a+pageBytes, 9)
+	if m.PagedEqual(&st, &st) {
+		t.Fatal("a write to a zero page must make the memory differ")
+	}
+	m.LoadPaged(&st, &st)
+	if !m.PagedEqual(&st, nil) || m.PeekU32(a+pageBytes) != 0 || m.PeekU32(a) != 7 {
+		t.Fatal("restoring a zero page must clear the write")
+	}
+	if !IsZeroPage(zeroPage[:]) || zeroPage[0] != 0 {
+		t.Fatal("the shared zero page was written")
+	}
+}

@@ -7,10 +7,20 @@
 //
 // The speed gap between this executor and the cycle-level simulator is the
 // very speed gap the paper attributes to software-level methods (§I fn. 1).
+//
+// Injection runs fork and join. A golden run with Options.Capture records a
+// Point at every CTA start; a run with Options.Fork resumes from one of them
+// instead of instruction 0 and, once its flip has fired, ends early when its
+// device memory equals the golden run's at a later CTA start with the same
+// Key. Both are exact because CTAs run one at a time: registers, predicates
+// and shared memory die at each CTA end, host steps are pure functions of
+// device memory, and so the memory plus the schedule position is the whole
+// machine state at a CTA boundary (docs/perf.md, "SVF fork-and-join").
 package funcsim
 
 import (
 	"fmt"
+	"sort"
 
 	"gpurel/internal/device"
 	"gpurel/internal/exec"
@@ -61,13 +71,21 @@ type KernelCounts struct {
 type Result struct {
 	Err       error // non-nil = DUE
 	TimedOut  bool
-	Output    []byte
+	Output    []byte // a joined run shares the golden run's slice: read-only
 	DynInstrs int64
 	DstCands  int64
 	LoadCands int64
 	UseCands  int64
+	// PerKernel counts what this run executed; a forked run skips the golden
+	// prefix before its resume point and, if it joins, the golden suffix.
 	PerKernel map[string]*KernelCounts
 	DUEFlag   bool // application-signalled DUE (TMR voter disagreement)
+
+	// Joined reports that a forked run rejoined the golden run; Skipped
+	// counts the golden dynamic instructions it did not execute (prefix plus
+	// suffix). The counters above include both, as if run from scratch.
+	Joined  bool
+	Skipped int64
 }
 
 // RegTracer observes architectural register liveness for PVF analysis
@@ -91,18 +109,109 @@ type Options struct {
 	CollectWindows bool
 	// RegTrace, when set, receives architectural register liveness events.
 	RegTrace RegTracer
+	// Capture, when set, receives a Point at every CTA start (golden runs).
+	Capture *Checkpoints
+	// Fork, when set, resumes the run from a captured Point and rejoins the
+	// golden run once the injection has fired (injection runs).
+	Fork *Fork
 }
 
-// Run executes the job functionally. The job's memory image is cloned, so a
-// Job can be reused across runs.
+// PointKey names a CTA start: the schedule step index, the number of
+// schedule steps begun before it (host-step loops revisit step indices), and
+// the CTA's linear index within the launch, replicas included.
+type PointKey struct{ Step, Sched, CTA int }
+
+// Point is the state of a golden run at one CTA start: the dynamic counters
+// and a copy-on-write image of device memory.
+type Point struct {
+	Key                                      PointKey
+	DynInstrs, DstCands, LoadCands, UseCands int64
+	Mem                                      device.PagedState
+}
+
+// Checkpoints is the Point at every CTA start of one golden run, in
+// execution order. It is written by the capturing run and read-only
+// afterwards, so concurrent forked runs share it without locking.
+type Checkpoints struct {
+	points []*Point
+	byKey  map[PointKey]*Point // lookup only, never ranged over
+	golden *Result
+}
+
+// Point returns the i-th captured point.
+func (c *Checkpoints) Point(i int) *Point { return c.points[i] }
+
+func (c *Checkpoints) add(key PointKey, res *Result, mem *device.Memory) {
+	pt := &Point{Key: key, DynInstrs: res.DynInstrs, DstCands: res.DstCands, LoadCands: res.LoadCands, UseCands: res.UseCands}
+	var prev *device.PagedState
+	if n := len(c.points); n > 0 {
+		prev = &c.points[n-1].Mem
+	}
+	mem.SavePaged(&pt.Mem, prev)
+	mem.ClearPageDirty()
+	c.points = append(c.points, pt)
+	if c.byKey == nil {
+		c.byKey = map[PointKey]*Point{}
+	}
+	c.byKey[key] = pt
+}
+
+// counter returns the point's candidate counter for an injection mode.
+func (pt *Point) counter(m InjectMode) int64 {
+	switch m {
+	case InjectDstLoad:
+		return pt.LoadCands
+	case InjectUse:
+		return pt.UseCands
+	}
+	return pt.DstCands
+}
+
+// ResumePoint returns the index of the last point whose candidate counter
+// for the injection's mode is at most its index: the latest CTA start that
+// precedes the flip. It returns -1 when no point does.
+func (c *Checkpoints) ResumePoint(inj Injection) int {
+	return sort.Search(len(c.points), func(i int) bool {
+		return c.points[i].counter(inj.Mode) > inj.Index
+	}) - 1
+}
+
+// Fork selects the resume point of a forked run and the workspace it runs
+// in. Any point at or before the flip gives the same result; ResumePoint
+// gives the latest one.
+type Fork struct {
+	Golden    *Checkpoints
+	From      int
+	Workspace *Workspace
+}
+
+// Workspace is the reusable state of forked runs: a device memory, the
+// point its write-tracking is relative to, and the per-CTA buffers. A
+// Workspace serves one run at a time; the zero value is ready to use.
+type Workspace struct {
+	mem  *device.Memory
+	base *device.PagedState
+	cta  ctaEnv
+}
+
+// Run executes the job functionally. The job's memory image is cloned (or,
+// for a forked run, restored page-wise into the workspace), so a Job can be
+// reused across runs.
 func Run(job *device.Job, opts Options) *Result {
-	mem := job.Mem.Clone()
 	res := &Result{PerKernel: map[string]*KernelCounts{}}
-	r := &runner{mem: mem, opts: opts, res: res}
+	r := &runner{opts: opts, res: res}
+	var start PointKey
+	if f := opts.Fork; f != nil {
+		start = r.resume(job, f)
+	} else {
+		r.ws = &Workspace{mem: job.Mem.Clone()}
+	}
+	r.ws.cta.bind(r)
+	mem := r.ws.mem
 
 	maxSteps := job.MaxScheduleSteps()
-	stepCount := 0
-	for si := 0; si < len(job.Steps); {
+	stepCount := start.Sched
+	for si := start.Step; si < len(job.Steps); {
 		if stepCount >= maxSteps {
 			res.TimedOut = true
 			return res
@@ -118,12 +227,17 @@ func Run(job *device.Job, opts Options) *Result {
 			}
 			continue
 		}
-		if err := r.launch(st.Launch); err != nil {
-			if err == errTimeout {
-				res.TimedOut = true
-			} else {
-				res.Err = err
-			}
+		err := r.launch(st.Launch, PointKey{Step: si, Sched: stepCount - 1, CTA: start.CTA})
+		start.CTA = 0
+		switch err {
+		case nil:
+		case errJoined:
+			return res
+		case errTimeout:
+			res.TimedOut = true
+			return res
+		default:
+			res.Err = err
 			return res
 		}
 		si++
@@ -132,15 +246,86 @@ func Run(job *device.Job, opts Options) *Result {
 	if job.DUEFlag != 0 && mem.PeekU32(job.DUEFlag) != 0 {
 		res.DUEFlag = true
 	}
+	if c := opts.Capture; c != nil {
+		c.golden = res
+	}
 	return res
 }
 
-var errTimeout = fmt.Errorf("dynamic instruction budget exceeded")
+// resume restores the fork's resume point into its workspace and the
+// result's counters, and returns the point's key.
+func (r *runner) resume(job *device.Job, f *Fork) PointKey {
+	o := r.opts
+	if o.Inject == nil || o.Capture != nil || o.CollectWindows || o.RegTrace != nil {
+		panic("funcsim: a forked run injects and records nothing")
+	}
+	if f.Golden.golden == nil {
+		panic("funcsim: fork from a golden run that did not complete")
+	}
+	pt := f.Golden.points[f.From]
+	if pt.counter(o.Inject.Mode) > o.Inject.Index {
+		panic(fmt.Sprintf("funcsim: resume point %d lies past injection index %d", f.From, o.Inject.Index))
+	}
+	ws := f.Workspace
+	if ws.mem == nil {
+		ws.mem = job.Mem.Clone()
+	}
+	ws.mem.LoadPaged(&pt.Mem, ws.base)
+	ws.mem.ClearPageDirty()
+	ws.base = &pt.Mem
+	r.ws = ws
+	r.golden = f.Golden
+	res := r.res
+	res.DynInstrs, res.DstCands, res.LoadCands, res.UseCands = pt.DynInstrs, pt.DstCands, pt.LoadCands, pt.UseCands
+	res.Skipped = pt.DynInstrs
+	return pt.Key
+}
+
+// ctaStart runs at every CTA start: a capturing run records a point there,
+// and a forked run whose flip has fired joins the golden run if device
+// memory matches the golden point with the same key.
+func (r *runner) ctaStart(key PointKey) error {
+	if c := r.opts.Capture; c != nil {
+		c.add(key, r.res, r.ws.mem)
+		return nil
+	}
+	if !r.fired || r.golden == nil {
+		return nil
+	}
+	pt := r.golden.byKey[key]
+	if pt == nil || !r.ws.mem.PagedEqual(&pt.Mem, r.ws.base) {
+		return nil
+	}
+	g, res := r.golden.golden, r.res
+	tail := g.DynInstrs - pt.DynInstrs
+	if budget := r.opts.MaxDynInstrs; budget > 0 && res.DynInstrs+tail > budget {
+		// The golden tail crosses the budget: the run times out. Stop
+		// looking for joins and run it out, so that DynInstrs reports the
+		// exact crossing point, as a run from scratch does.
+		r.golden = nil
+		return nil
+	}
+	res.DynInstrs += tail
+	res.DstCands += g.DstCands - pt.DstCands
+	res.LoadCands += g.LoadCands - pt.LoadCands
+	res.UseCands += g.UseCands - pt.UseCands
+	res.Output, res.DUEFlag = g.Output, g.DUEFlag
+	res.Joined = true
+	res.Skipped += tail
+	return errJoined
+}
+
+var (
+	errTimeout = fmt.Errorf("dynamic instruction budget exceeded")
+	errJoined  = fmt.Errorf("rejoined the golden run")
+)
 
 type runner struct {
-	mem  *device.Memory
-	opts Options
-	res  *Result
+	ws     *Workspace
+	opts   Options
+	res    *Result
+	golden *Checkpoints // joins are possible while set
+	fired  bool         // the injection has been applied
 }
 
 func (r *runner) kernelCounts(name string) *KernelCounts {
@@ -152,64 +337,83 @@ func (r *runner) kernelCounts(name string) *KernelCounts {
 	return kc
 }
 
-// ctaEnv is the exec.Env of one CTA during functional execution.
+// ctaEnv is the exec.Env of the running CTA. Its buffers are reused from
+// CTA to CTA (and, in a Workspace, from run to run).
 type ctaEnv struct {
-	r       *runner
-	params  []uint32
-	regs    []uint32 // threads × NumRegs
-	preds   []uint8  // threads × 1 bitfield of 7 predicates
-	numRegs int
-	smem    []byte
+	r                    *runner
+	res                  *Result
+	trace                RegTracer
+	dstAt, loadAt, useAt int64
+	flip                 uint32
+	params               []uint32
+	regs                 []uint32 // threads × NumRegs
+	preds                []uint8  // threads × 1 bitfield of 7 predicates
+	numRegs              int
+	smem                 []byte
 
 	blockX, blockY int
 	ctaX, ctaY     int
 	gridX, gridY   int
 	warpBase       int // thread index of lane 0 of the current warp
 	curInstr       *isa.Instr
+
+	warps       []exec.Warp
+	atBar, done []bool
 }
 
 func (e *ctaEnv) thread(lane int) int { return e.warpBase + lane }
 
 func (e *ctaEnv) ReadReg(lane int, reg isa.Reg) uint32 {
 	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegRead(slot, e.r.res.DynInstrs)
+	if e.trace != nil {
+		e.trace.OnRegRead(slot, e.res.DynInstrs)
 	}
 	v := e.regs[slot]
-	if inj := e.r.opts.Inject; inj != nil && inj.Mode == InjectUse {
-		if e.r.res.UseCands == inj.Index {
-			v ^= 1 << (inj.Bit & 31)
-		}
-		e.r.res.UseCands++
-	} else if e.r.opts.CollectWindows {
-		e.r.res.UseCands++
+	if e.res.UseCands == e.useAt {
+		v ^= e.flip
+		e.r.fired = true
 	}
+	e.res.UseCands++
 	return v
 }
 
 func (e *ctaEnv) WriteReg(lane int, reg isa.Reg, v uint32) {
-	inj := e.r.opts.Inject
-	if inj != nil {
-		switch inj.Mode {
-		case InjectDst:
-			if e.r.res.DstCands == inj.Index {
-				v ^= 1 << (inj.Bit & 31)
-			}
-		case InjectDstLoad:
-			if e.curInstr != nil && e.curInstr.IsLoad() && e.r.res.LoadCands == inj.Index {
-				v ^= 1 << (inj.Bit & 31)
-			}
-		}
+	if e.res.DstCands == e.dstAt {
+		v ^= e.flip
+		e.r.fired = true
 	}
-	e.r.res.DstCands++
+	e.res.DstCands++
 	if e.curInstr != nil && e.curInstr.IsLoad() {
-		e.r.res.LoadCands++
+		if e.res.LoadCands == e.loadAt {
+			v ^= e.flip
+			e.r.fired = true
+		}
+		e.res.LoadCands++
 	}
 	slot := e.thread(lane)*e.numRegs + int(reg)
-	if tr := e.r.opts.RegTrace; tr != nil {
-		tr.OnRegWrite(slot, e.r.res.DynInstrs)
+	if e.trace != nil {
+		e.trace.OnRegWrite(slot, e.res.DynInstrs)
 	}
 	e.regs[slot] = v
+}
+
+// bind attaches the environment to a run: its result counters, its register
+// tracer, and its injection as the candidate index per mode (-1, which no
+// counter reaches, for the other modes) plus the flip mask.
+func (e *ctaEnv) bind(r *runner) {
+	e.r, e.res, e.trace = r, r.res, r.opts.RegTrace
+	e.dstAt, e.loadAt, e.useAt, e.flip = -1, -1, -1, 0
+	if inj := r.opts.Inject; inj != nil {
+		e.flip = 1 << (inj.Bit & 31)
+		switch inj.Mode {
+		case InjectDst:
+			e.dstAt = inj.Index
+		case InjectDstLoad:
+			e.loadAt = inj.Index
+		case InjectUse:
+			e.useAt = inj.Index
+		}
+	}
 }
 
 func (e *ctaEnv) ReadPred(lane int, p isa.Pred) bool {
@@ -257,11 +461,11 @@ func (e *ctaEnv) Param(idx int) uint32 {
 }
 
 func (e *ctaEnv) LoadGlobal(lane int, addr uint32, tex bool) (uint32, error) {
-	return e.r.mem.Load4(addr)
+	return e.r.ws.mem.Load4(addr)
 }
 
 func (e *ctaEnv) StoreGlobal(lane int, addr uint32, v uint32) error {
-	return e.r.mem.Store4(addr, v)
+	return e.r.ws.mem.Store4(addr, v)
 }
 
 func (e *ctaEnv) LoadShared(lane int, addr uint32) (uint32, error) {
@@ -287,9 +491,9 @@ func putLE32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// launch executes one kernel launch: every CTA of every replica, each CTA's
-// warps stepped round-robin to honour barriers.
-func (r *runner) launch(l *device.Launch) error {
+// launch executes one kernel launch from the CTA at.CTA on: every CTA of
+// every replica, each CTA's warps stepped round-robin to honour barriers.
+func (r *runner) launch(l *device.Launch, at PointKey) error {
 	prog := l.Kernel
 	kc := r.kernelCounts(l.Name())
 	dstStart, loadStart, useStart := r.res.DstCands, r.res.LoadCands, r.res.UseCands
@@ -298,14 +502,14 @@ func (r *runner) launch(l *device.Launch) error {
 	if threads == 0 || prog == nil {
 		return fmt.Errorf("launch %s: empty configuration", l.Name())
 	}
-	for rep := 0; rep < l.NumReplicas(); rep++ {
-		params := l.ParamsFor(rep)
-		for cy := 0; cy < l.GridY; cy++ {
-			for cx := 0; cx < l.GridX; cx++ {
-				if err := r.runCTA(l, prog, params, cx, cy); err != nil {
-					return err
-				}
-			}
+	perRep := l.GridX * l.GridY
+	for ; at.CTA < l.NumCTAs(); at.CTA++ {
+		if err := r.ctaStart(at); err != nil {
+			return err
+		}
+		rep, c := at.CTA/perRep, at.CTA%perRep
+		if err := r.runCTA(l, prog, kc, l.ParamsFor(rep), c%l.GridX, c/l.GridX); err != nil {
+			return err
 		}
 	}
 	if r.opts.CollectWindows {
@@ -316,35 +520,52 @@ func (r *runner) launch(l *device.Launch) error {
 	return nil
 }
 
-func (r *runner) runCTA(l *device.Launch, prog *isa.Program, params []uint32, cx, cy int) error {
+// reset prepares the environment for a new CTA, reusing the buffers of the
+// previous one: registers, predicates and shared memory start zeroed and
+// every warp starts at PC 0.
+func (e *ctaEnv) reset(l *device.Launch, prog *isa.Program, params []uint32, cx, cy int) {
 	threads := l.ThreadsPerCTA()
+	e.params = params
+	e.numRegs = prog.NumRegs
+	e.regs = zeroed(e.regs, threads*prog.NumRegs)
+	e.preds = zeroed(e.preds, threads)
+	e.smem = zeroed(e.smem, l.SmemBytes)
+	e.blockX, e.blockY = l.BlockX, l.BlockY
+	e.ctaX, e.ctaY = cx, cy
+	e.gridX, e.gridY = l.GridX, l.GridY
+	nWarps := (threads + 31) / 32
+	e.atBar = zeroed(e.atBar, nWarps)
+	e.done = zeroed(e.done, nWarps)
+	if cap(e.warps) < nWarps {
+		e.warps = make([]exec.Warp, nWarps)
+	}
+	e.warps = e.warps[:nWarps]
+	for w := range e.warps {
+		lanes := min(threads-w*32, 32)
+		e.warps[w].FullMask = uint32(1)<<lanes - 1 // 1<<32 is 0: all lanes
+		e.warps[w].Reset()
+	}
+}
+
+// zeroed returns buf resized to n elements, all zero, reusing its array.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+func (r *runner) runCTA(l *device.Launch, prog *isa.Program, kc *KernelCounts, params []uint32, cx, cy int) error {
 	if tr := r.opts.RegTrace; tr != nil {
-		tr.OnCTAStart(threads, prog.NumRegs, r.res.DynInstrs)
+		tr.OnCTAStart(l.ThreadsPerCTA(), prog.NumRegs, r.res.DynInstrs)
 		defer func() { tr.OnCTAEnd(r.res.DynInstrs) }()
 	}
-	env := &ctaEnv{
-		r:       r,
-		params:  params,
-		regs:    make([]uint32, threads*prog.NumRegs),
-		preds:   make([]uint8, threads),
-		numRegs: prog.NumRegs,
-		smem:    make([]byte, l.SmemBytes),
-		blockX:  l.BlockX, blockY: l.BlockY,
-		ctaX: cx, ctaY: cy,
-		gridX: l.GridX, gridY: l.GridY,
-	}
-	nWarps := (threads + 31) / 32
-	warps := make([]*exec.Warp, nWarps)
-	atBar := make([]bool, nWarps)
-	done := make([]bool, nWarps)
-	for w := range warps {
-		lanes := threads - w*32
-		if lanes > 32 {
-			lanes = 32
-		}
-		warps[w] = exec.NewWarp(lanes)
-	}
-	kc := r.kernelCounts(l.Name())
+	env := &r.ws.cta
+	env.reset(l, prog, params, cx, cy)
+	warps, atBar, done := env.warps, env.atBar, env.done
+	nWarps := len(warps)
 
 	remaining := nWarps
 	for remaining > 0 {
@@ -357,7 +578,7 @@ func (r *runner) runCTA(l *device.Launch, prog *isa.Program, params []uint32, cx
 			// Run the warp until it exits, faults, or hits a barrier.
 			for {
 				env.curInstr = warps[w].PeekInstr(prog)
-				info := exec.Step(warps[w], prog, env)
+				info := exec.Step(&warps[w], prog, env)
 				if info.Kind == exec.StepOK || info.Kind == exec.StepExit || info.Kind == exec.StepBarrier {
 					n := int64(popcount(info.ActiveMask))
 					r.res.DynInstrs += n

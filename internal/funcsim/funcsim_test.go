@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gpurel/internal/device"
@@ -212,5 +213,112 @@ func TestDynInstrBudget(t *testing.T) {
 	r := Run(job, Options{MaxDynInstrs: 10})
 	if !r.TimedOut {
 		t.Error("tiny instruction budget must time out")
+	}
+}
+
+// captureGolden runs job fault-free, recording a checkpoint at every CTA start.
+func captureGolden(t *testing.T, job *device.Job) (*Result, *Checkpoints) {
+	t.Helper()
+	ck := &Checkpoints{}
+	g := Run(job, Options{CollectWindows: true, Capture: ck})
+	if g.Err != nil || g.TimedOut {
+		t.Fatalf("golden run failed: %v", g.Err)
+	}
+	return g, ck
+}
+
+// TestForkJoinTimeoutProjection: a forked run whose memory matches golden's
+// at a later CTA start joins only if the projected total (its count there
+// plus the golden tail) fits the budget. If only the projection exceeds the
+// budget, the run is a Timeout with the instruction count a run from scratch
+// reports.
+func TestForkJoinTimeoutProjection(t *testing.T) {
+	job := squareJob(128)
+	g, ck := captureGolden(t, job)
+	if len(ck.points) != 2 {
+		t.Fatalf("%d checkpoints, want one per CTA (2)", len(ck.points))
+	}
+	// Bit 31 of a loaded value is masked by the squaring, so the run's
+	// memory equals golden's again at the start of CTA 1.
+	inj := Injection{Mode: InjectDstLoad, Index: 0, Bit: 31}
+	if at := ck.Point(1).DynInstrs; at > g.DynInstrs-1 {
+		t.Fatalf("join point at %d instrs is already over the budget; the projection is untested", at)
+	}
+	ws := &Workspace{}
+	for _, budget := range []int64{0, g.DynInstrs, g.DynInstrs - 1} {
+		got := Run(job, Options{MaxDynInstrs: budget, Inject: &inj,
+			Fork: &Fork{Golden: ck, From: ck.ResumePoint(inj), Workspace: ws}})
+		want := Run(job, Options{MaxDynInstrs: budget, Inject: &inj})
+		if got.TimedOut != want.TimedOut || got.DynInstrs != want.DynInstrs || !bytes.Equal(got.Output, want.Output) {
+			t.Errorf("budget %d: forked (timeout %v, %d instrs), scratch (timeout %v, %d instrs)",
+				budget, got.TimedOut, got.DynInstrs, want.TimedOut, want.DynInstrs)
+		}
+		overBudget := budget > 0 && budget < g.DynInstrs
+		if got.TimedOut != overBudget || got.Joined == overBudget {
+			t.Errorf("budget %d: timeout %v joined %v, want timeout %v", budget, got.TimedOut, got.Joined, overBudget)
+		}
+	}
+}
+
+// TestForkNoJoinBeforeFlip: memory equals golden's at every CTA start
+// before the flip, so a join attempted there would wrongly return the golden
+// output. Resuming before an earlier CTA start than necessary must still
+// reproduce the corrupted run.
+func TestForkNoJoinBeforeFlip(t *testing.T) {
+	job := squareJob(128)
+	g, ck := captureGolden(t, job)
+	inj := Injection{Mode: InjectDstLoad, Index: ck.Point(1).LoadCands, Bit: 16}
+	if ck.ResumePoint(inj) != 1 {
+		t.Fatalf("resume point %d, want 1 (the CTA holding the flip)", ck.ResumePoint(inj))
+	}
+	got := Run(job, Options{Inject: &inj, Fork: &Fork{Golden: ck, From: 0, Workspace: &Workspace{}}})
+	want := Run(job, Options{Inject: &inj})
+	if got.Joined || bytes.Equal(got.Output, g.Output) {
+		t.Fatal("forked run joined the golden run before its flip fired")
+	}
+	if !bytes.Equal(got.Output, want.Output) || got.DynInstrs != want.DynInstrs {
+		t.Errorf("forked run differs from scratch: %d vs %d instrs", got.DynInstrs, want.DynInstrs)
+	}
+}
+
+// TestCTABuffersCleared: per-CTA registers and shared memory are reused
+// across CTAs and must start zeroed in each, as fresh ones would.
+func TestCTABuffersCleared(t *testing.T) {
+	// out[i] = r + smem[tid], then r = 99 and smem[tid] = r. The register
+	// write is moved after the store by hand, past the builder's
+	// uninitialized-read lint.
+	b := kasm.New("stale")
+	tid := b.S2R(isa.SRTidX)
+	i := b.IMad(b.S2R(isa.SRCtaIDX), b.S2R(isa.SRNTidX), tid)
+	sa := b.IMulI(tid, 4)
+	r := b.MovI(99)
+	b.Stg(b.IScAdd(i, b.Param(0), 2), 0, b.IAdd(r, b.Lds(sa, 0)))
+	b.Sts(sa, 0, r)
+	prog := b.MustBuild()
+	code := prog.Code
+	mov := slices.IndexFunc(code, func(in isa.Instr) bool { return in.Op == isa.OpMOVI && in.Dst == r })
+	stg := slices.IndexFunc(code, func(in isa.Instr) bool { return in.Op == isa.OpSTG })
+	movI := code[mov]
+	copy(code[mov:stg], code[mov+1:stg+1])
+	code[stg] = movI
+
+	m := device.NewMemory(1 << 14)
+	out := m.Alloc("out", 4*64)
+	job := &device.Job{
+		Name: "stale", Mem: m,
+		Steps: []device.Step{{Launch: &device.Launch{
+			Kernel: prog, GridX: 2, GridY: 1, BlockX: 32, BlockY: 1, SmemBytes: 4 * 32,
+			Params: []uint32{out}, ParamIsPtr: []bool{true},
+		}}},
+		Outputs: []device.Output{{Name: "out", Addr: out, Size: 4 * 64}},
+	}
+	res := Run(job, Options{})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for k, v := range res.Output {
+		if v != 0 {
+			t.Fatalf("output byte %d = %d: a CTA saw its predecessor's state", k, v)
+		}
 	}
 }

@@ -599,8 +599,9 @@ func (s *SnapshotSet) Evicted() int64 { return s.evicted }
 
 // recount recomputes the exact retained bytes of the set: each snapshot's
 // fixed state plus every distinct storage page, identified by its backing
-// array. The maps are used for membership only (never iterated), so the
-// walk is deterministic.
+// array; the shared device zero page is not retained by the set and counts
+// 0. The maps are used for membership only (never iterated), so the walk is
+// deterministic.
 func (s *SnapshotSet) recount() {
 	var n int64
 	seenB := make(map[*byte]struct{})
@@ -608,7 +609,7 @@ func (s *SnapshotSet) recount() {
 	for _, snap := range s.snaps {
 		n += snap.fixed
 		for _, pg := range snap.dmem.Pages() {
-			if len(pg) == 0 {
+			if len(pg) == 0 || device.IsZeroPage(pg) {
 				continue
 			}
 			if _, ok := seenB[&pg[0]]; !ok {

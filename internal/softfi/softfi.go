@@ -5,16 +5,22 @@
 // functional run against the golden output. Variants restrict the candidate
 // set to load instructions (SVF-LD) or corrupt a single operand use (the
 // transient-operand ablation of §V-B).
+//
+// Every experiment forks: the golden run records device memory at each CTA
+// start, an injection run resumes from the last CTA start before its flip,
+// and it stops as soon as its memory rejoins the golden run's at a later
+// CTA start (funcsim's package comment says why that is exact).
 package softfi
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gpurel/internal/device"
 	"gpurel/internal/faults"
-	"sort"
-
 	"gpurel/internal/funcsim"
 )
 
@@ -46,14 +52,38 @@ func (m Mode) String() string {
 // VoteKernelName mirrors microfi's constant.
 const VoteKernelName = "vote"
 
-// GoldenRun caches the fault-free functional execution.
+// GoldenRun caches the fault-free functional execution and its CTA-start
+// checkpoints. It is safe for concurrent injections.
 type GoldenRun struct {
 	Res *funcsim.Result
+
+	ck *funcsim.Checkpoints
+	// pool recycles the workspaces (device memory, CTA buffers) of forked
+	// runs, so a run restores only the pages that differ instead of cloning
+	// the whole memory image.
+	pool                  sync.Pool
+	forks, joins, skipped atomic.Int64
 }
 
-// Golden runs the job fault-free, collecting per-kernel candidate windows.
+// ForkCounts are the fork-and-join statistics of the injections run against
+// one golden run. They are sums over runs, so a fixed set of (seed, run)
+// pairs gives the same counts in any order and on any number of workers.
+type ForkCounts struct {
+	Forks         int64 // runs resumed from a CTA start after instruction 0
+	Joins         int64 // runs that rejoined the golden run
+	InstrsSkipped int64 // golden dynamic instructions not re-executed
+}
+
+// Counts returns the fork-and-join statistics so far.
+func (g *GoldenRun) Counts() ForkCounts {
+	return ForkCounts{Forks: g.forks.Load(), Joins: g.joins.Load(), InstrsSkipped: g.skipped.Load()}
+}
+
+// Golden runs the job fault-free, collecting per-kernel candidate windows
+// and a checkpoint at every CTA start.
 func Golden(job *device.Job) (*GoldenRun, error) {
-	res := funcsim.Run(job, funcsim.Options{CollectWindows: true})
+	ck := &funcsim.Checkpoints{}
+	res := funcsim.Run(job, funcsim.Options{CollectWindows: true, Capture: ck})
 	if res.Err != nil {
 		return nil, fmt.Errorf("golden run failed: %w", res.Err)
 	}
@@ -63,7 +93,7 @@ func Golden(job *device.Job) (*GoldenRun, error) {
 	if res.DUEFlag {
 		return nil, fmt.Errorf("golden run raised the DUE flag")
 	}
-	return &GoldenRun{Res: res}, nil
+	return &GoldenRun{Res: res, ck: ck}, nil
 }
 
 // Target selects the kernel and candidate set of an experiment.
@@ -124,9 +154,18 @@ func (t Target) pickIndex(g *GoldenRun, rng *rand.Rand) (int64, bool) {
 
 // Inject performs one software-level injection experiment.
 func Inject(job *device.Job, g *GoldenRun, t Target, rng *rand.Rand) faults.Result {
-	idx, ok := t.pickIndex(g, rng)
+	inj, ok := t.draw(g, rng)
 	if !ok {
 		return faults.Result{Outcome: faults.Masked, Detail: "no injection candidates"}
+	}
+	return Classify(g, g.run(job, inj))
+}
+
+// draw picks the injection site of one experiment.
+func (t Target) draw(g *GoldenRun, rng *rand.Rand) (funcsim.Injection, bool) {
+	idx, ok := t.pickIndex(g, rng)
+	if !ok {
+		return funcsim.Injection{}, false
 	}
 	mode := funcsim.InjectDst
 	switch t.Mode {
@@ -135,15 +174,34 @@ func Inject(job *device.Job, g *GoldenRun, t Target, rng *rand.Rand) faults.Resu
 	case SVFUse:
 		mode = funcsim.InjectUse
 	}
+	return funcsim.Injection{Mode: mode, Index: idx, Bit: uint8(rng.Intn(32))}, true
+}
+
+// budget is the dynamic-instruction timeout budget of an injection run.
+func (g *GoldenRun) budget() int64 { return g.Res.DynInstrs * 10 }
+
+// run executes one injection, forked from the last CTA start before the
+// flip and rejoining the golden run where it can.
+func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result {
+	ws, _ := g.pool.Get().(*funcsim.Workspace)
+	if ws == nil {
+		ws = new(funcsim.Workspace)
+	}
+	from := g.ck.ResumePoint(inj)
 	res := funcsim.Run(job, funcsim.Options{
-		MaxDynInstrs: g.Res.DynInstrs * 10,
-		Inject: &funcsim.Injection{
-			Mode:  mode,
-			Index: idx,
-			Bit:   uint8(rng.Intn(32)),
-		},
+		MaxDynInstrs: g.budget(),
+		Inject:       &inj,
+		Fork:         &funcsim.Fork{Golden: g.ck, From: from, Workspace: ws},
 	})
-	return Classify(g, res)
+	g.pool.Put(ws)
+	if g.ck.Point(from).DynInstrs > 0 {
+		g.forks.Add(1)
+	}
+	if res.Joined {
+		g.joins.Add(1)
+	}
+	g.skipped.Add(res.Skipped)
+	return res
 }
 
 // Classify compares a run against the golden functional run. The
