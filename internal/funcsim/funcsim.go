@@ -9,10 +9,10 @@
 // very speed gap the paper attributes to software-level methods (§I fn. 1).
 //
 // Injection runs fork and join. A golden run with Options.Capture records a
-// Point at every CTA start; a run with Options.Fork resumes from one of them
-// instead of instruction 0 and, once its flip has fired, ends early when its
-// device memory equals the golden run's at a later CTA start with the same
-// Key. Both are exact because CTAs run one at a time: registers, predicates
+// checkpoint at every CTA start; a run with Options.Fork resumes from the
+// last one before its flip instead of instruction 0 and, once its flip has
+// fired, ends early when its device memory equals the golden run's at a
+// later CTA start with the same key. Both are exact because CTAs run one at a time: registers, predicates
 // and shared memory die at each CTA end, host steps are pure functions of
 // device memory, and so the memory plus the schedule position is the whole
 // machine state at a CTA boundary (docs/perf.md, "SVF fork-and-join").
@@ -21,6 +21,7 @@ package funcsim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"gpurel/internal/device"
 	"gpurel/internal/exec"
@@ -81,11 +82,12 @@ type Result struct {
 	PerKernel map[string]*KernelCounts
 	DUEFlag   bool // application-signalled DUE (TMR voter disagreement)
 
-	// Joined reports that a forked run rejoined the golden run; Skipped
-	// counts the golden dynamic instructions it did not execute (prefix plus
-	// suffix). The counters above include both, as if run from scratch.
-	Joined  bool
-	Skipped int64
+	// Forked reports that a forked run resumed after instruction 0, and
+	// Joined that it rejoined the golden run; Skipped counts the golden
+	// dynamic instructions it did not execute (prefix plus suffix). The
+	// counters above include both, as if run from scratch.
+	Forked, Joined bool
+	Skipped        int64
 }
 
 // RegTracer observes architectural register liveness for PVF analysis
@@ -109,40 +111,41 @@ type Options struct {
 	CollectWindows bool
 	// RegTrace, when set, receives architectural register liveness events.
 	RegTrace RegTracer
-	// Capture, when set, receives a Point at every CTA start (golden runs).
+	// Capture, when set, receives a point at every CTA start (golden runs).
 	Capture *Checkpoints
-	// Fork, when set, resumes the run from a captured Point and rejoins the
-	// golden run once the injection has fired (injection runs).
-	Fork *Fork
+	// Fork, when set to a completed golden run's checkpoints, resumes the
+	// run from the last CTA start before its flip and rejoins the golden run
+	// once the injection has fired (injection runs).
+	Fork *Checkpoints
 }
 
-// PointKey names a CTA start: the schedule step index, the number of
+// pointKey names a CTA start: the schedule step index, the number of
 // schedule steps begun before it (host-step loops revisit step indices), and
 // the CTA's linear index within the launch, replicas included.
-type PointKey struct{ Step, Sched, CTA int }
+type pointKey struct{ Step, Sched, CTA int }
 
-// Point is the state of a golden run at one CTA start: the dynamic counters
+// point is the state of a golden run at one CTA start: the dynamic counters
 // and a copy-on-write image of device memory.
-type Point struct {
-	Key                                      PointKey
+type point struct {
+	Key                                      pointKey
 	DynInstrs, DstCands, LoadCands, UseCands int64
 	Mem                                      device.PagedState
 }
 
-// Checkpoints is the Point at every CTA start of one golden run, in
+// Checkpoints is the point at every CTA start of one golden run, in
 // execution order. It is written by the capturing run and read-only
 // afterwards, so concurrent forked runs share it without locking.
 type Checkpoints struct {
-	points []*Point
-	byKey  map[PointKey]*Point // lookup only, never ranged over
+	points []*point
+	byKey  map[pointKey]*point // lookup only, never ranged over
 	golden *Result
+	// pool recycles the workspaces of forked runs, so a run restores only
+	// the pages that differ instead of cloning the whole memory image.
+	pool sync.Pool
 }
 
-// Point returns the i-th captured point.
-func (c *Checkpoints) Point(i int) *Point { return c.points[i] }
-
-func (c *Checkpoints) add(key PointKey, res *Result, mem *device.Memory) {
-	pt := &Point{Key: key, DynInstrs: res.DynInstrs, DstCands: res.DstCands, LoadCands: res.LoadCands, UseCands: res.UseCands}
+func (c *Checkpoints) add(key pointKey, res *Result, mem *device.Memory) {
+	pt := &point{Key: key, DynInstrs: res.DynInstrs, DstCands: res.DstCands, LoadCands: res.LoadCands, UseCands: res.UseCands}
 	var prev *device.PagedState
 	if n := len(c.points); n > 0 {
 		prev = &c.points[n-1].Mem
@@ -151,13 +154,13 @@ func (c *Checkpoints) add(key PointKey, res *Result, mem *device.Memory) {
 	mem.ClearPageDirty()
 	c.points = append(c.points, pt)
 	if c.byKey == nil {
-		c.byKey = map[PointKey]*Point{}
+		c.byKey = map[pointKey]*point{}
 	}
 	c.byKey[key] = pt
 }
 
 // counter returns the point's candidate counter for an injection mode.
-func (pt *Point) counter(m InjectMode) int64 {
+func (pt *point) counter(m InjectMode) int64 {
 	switch m {
 	case InjectDstLoad:
 		return pt.LoadCands
@@ -167,44 +170,37 @@ func (pt *Point) counter(m InjectMode) int64 {
 	return pt.DstCands
 }
 
-// ResumePoint returns the index of the last point whose candidate counter
-// for the injection's mode is at most its index: the latest CTA start that
-// precedes the flip. It returns -1 when no point does.
-func (c *Checkpoints) ResumePoint(inj Injection) int {
-	return sort.Search(len(c.points), func(i int) bool {
+// resumePoint returns the last point whose candidate counter for the
+// injection's mode is at most its index: the latest CTA start that precedes
+// the flip. The first point has every counter at 0, so one always exists.
+func (c *Checkpoints) resumePoint(inj Injection) *point {
+	i := sort.Search(len(c.points), func(i int) bool {
 		return c.points[i].counter(inj.Mode) > inj.Index
-	}) - 1
+	})
+	return c.points[i-1]
 }
 
-// Fork selects the resume point of a forked run and the workspace it runs
-// in. Any point at or before the flip gives the same result; ResumePoint
-// gives the latest one.
-type Fork struct {
-	Golden    *Checkpoints
-	From      int
-	Workspace *Workspace
-}
-
-// Workspace is the reusable state of forked runs: a device memory, the
+// workspace is the reusable state of forked runs: a device memory, the
 // point its write-tracking is relative to, and the per-CTA buffers. A
-// Workspace serves one run at a time; the zero value is ready to use.
-type Workspace struct {
+// workspace serves one run at a time.
+type workspace struct {
 	mem  *device.Memory
 	base *device.PagedState
 	cta  ctaEnv
 }
 
 // Run executes the job functionally. The job's memory image is cloned (or,
-// for a forked run, restored page-wise into the workspace), so a Job can be
-// reused across runs.
+// for a forked run, restored page-wise into a pooled workspace), so a Job
+// can be reused across runs.
 func Run(job *device.Job, opts Options) *Result {
 	res := &Result{PerKernel: map[string]*KernelCounts{}}
 	r := &runner{opts: opts, res: res}
-	var start PointKey
-	if f := opts.Fork; f != nil {
-		start = r.resume(job, f)
+	var start pointKey
+	if c := opts.Fork; c != nil {
+		start = r.resume(job, c)
+		defer c.pool.Put(r.ws)
 	} else {
-		r.ws = &Workspace{mem: job.Mem.Clone()}
+		r.ws = &workspace{mem: job.Mem.Clone()}
 	}
 	r.ws.cta.bind(r)
 	mem := r.ws.mem
@@ -227,7 +223,7 @@ func Run(job *device.Job, opts Options) *Result {
 			}
 			continue
 		}
-		err := r.launch(st.Launch, PointKey{Step: si, Sched: stepCount - 1, CTA: start.CTA})
+		err := r.launch(st.Launch, pointKey{Step: si, Sched: stepCount - 1, CTA: start.CTA})
 		start.CTA = 0
 		switch err {
 		case nil:
@@ -252,31 +248,30 @@ func Run(job *device.Job, opts Options) *Result {
 	return res
 }
 
-// resume restores the fork's resume point into its workspace and the
-// result's counters, and returns the point's key.
-func (r *runner) resume(job *device.Job, f *Fork) PointKey {
+// resume takes a workspace from the pool, restores the last point before
+// the flip into it and into the result's counters, and returns the point's
+// key.
+func (r *runner) resume(job *device.Job, c *Checkpoints) pointKey {
 	o := r.opts
 	if o.Inject == nil || o.Capture != nil || o.CollectWindows || o.RegTrace != nil {
 		panic("funcsim: a forked run injects and records nothing")
 	}
-	if f.Golden.golden == nil {
+	if c.golden == nil {
 		panic("funcsim: fork from a golden run that did not complete")
 	}
-	pt := f.Golden.points[f.From]
-	if pt.counter(o.Inject.Mode) > o.Inject.Index {
-		panic(fmt.Sprintf("funcsim: resume point %d lies past injection index %d", f.From, o.Inject.Index))
-	}
-	ws := f.Workspace
-	if ws.mem == nil {
-		ws.mem = job.Mem.Clone()
+	pt := c.resumePoint(*o.Inject)
+	ws, _ := c.pool.Get().(*workspace)
+	if ws == nil {
+		ws = &workspace{mem: job.Mem.Clone()}
 	}
 	ws.mem.LoadPaged(&pt.Mem, ws.base)
 	ws.mem.ClearPageDirty()
 	ws.base = &pt.Mem
 	r.ws = ws
-	r.golden = f.Golden
+	r.golden = c
 	res := r.res
 	res.DynInstrs, res.DstCands, res.LoadCands, res.UseCands = pt.DynInstrs, pt.DstCands, pt.LoadCands, pt.UseCands
+	res.Forked = pt.DynInstrs > 0
 	res.Skipped = pt.DynInstrs
 	return pt.Key
 }
@@ -284,7 +279,7 @@ func (r *runner) resume(job *device.Job, f *Fork) PointKey {
 // ctaStart runs at every CTA start: a capturing run records a point there,
 // and a forked run whose flip has fired joins the golden run if device
 // memory matches the golden point with the same key.
-func (r *runner) ctaStart(key PointKey) error {
+func (r *runner) ctaStart(key pointKey) error {
 	if c := r.opts.Capture; c != nil {
 		c.add(key, r.res, r.ws.mem)
 		return nil
@@ -321,7 +316,7 @@ var (
 )
 
 type runner struct {
-	ws     *Workspace
+	ws     *workspace
 	opts   Options
 	res    *Result
 	golden *Checkpoints // joins are possible while set
@@ -338,7 +333,7 @@ func (r *runner) kernelCounts(name string) *KernelCounts {
 }
 
 // ctaEnv is the exec.Env of the running CTA. Its buffers are reused from
-// CTA to CTA (and, in a Workspace, from run to run).
+// CTA to CTA (and, in a pooled workspace, from run to run).
 type ctaEnv struct {
 	r                    *runner
 	res                  *Result
@@ -493,7 +488,7 @@ func putLE32(b []byte, v uint32) {
 
 // launch executes one kernel launch from the CTA at.CTA on: every CTA of
 // every replica, each CTA's warps stepped round-robin to honour barriers.
-func (r *runner) launch(l *device.Launch, at PointKey) error {
+func (r *runner) launch(l *device.Launch, at pointKey) error {
 	prog := l.Kernel
 	kc := r.kernelCounts(l.Name())
 	dstStart, loadStart, useStart := r.res.DstCands, r.res.LoadCands, r.res.UseCands

@@ -241,13 +241,11 @@ func TestForkJoinTimeoutProjection(t *testing.T) {
 	// Bit 31 of a loaded value is masked by the squaring, so the run's
 	// memory equals golden's again at the start of CTA 1.
 	inj := Injection{Mode: InjectDstLoad, Index: 0, Bit: 31}
-	if at := ck.Point(1).DynInstrs; at > g.DynInstrs-1 {
+	if at := ck.points[1].DynInstrs; at > g.DynInstrs-1 {
 		t.Fatalf("join point at %d instrs is already over the budget; the projection is untested", at)
 	}
-	ws := &Workspace{}
 	for _, budget := range []int64{0, g.DynInstrs, g.DynInstrs - 1} {
-		got := Run(job, Options{MaxDynInstrs: budget, Inject: &inj,
-			Fork: &Fork{Golden: ck, From: ck.ResumePoint(inj), Workspace: ws}})
+		got := Run(job, Options{MaxDynInstrs: budget, Inject: &inj, Fork: ck})
 		want := Run(job, Options{MaxDynInstrs: budget, Inject: &inj})
 		if got.TimedOut != want.TimedOut || got.DynInstrs != want.DynInstrs || !bytes.Equal(got.Output, want.Output) {
 			t.Errorf("budget %d: forked (timeout %v, %d instrs), scratch (timeout %v, %d instrs)",
@@ -261,17 +259,17 @@ func TestForkJoinTimeoutProjection(t *testing.T) {
 }
 
 // TestForkNoJoinBeforeFlip: memory equals golden's at every CTA start
-// before the flip, so a join attempted there would wrongly return the golden
-// output. Resuming before an earlier CTA start than necessary must still
-// reproduce the corrupted run.
+// before the flip, the resume point included, so a join attempted there
+// would wrongly return the golden output. The forked run must reproduce the
+// corrupted run.
 func TestForkNoJoinBeforeFlip(t *testing.T) {
 	job := squareJob(128)
 	g, ck := captureGolden(t, job)
-	inj := Injection{Mode: InjectDstLoad, Index: ck.Point(1).LoadCands, Bit: 16}
-	if ck.ResumePoint(inj) != 1 {
-		t.Fatalf("resume point %d, want 1 (the CTA holding the flip)", ck.ResumePoint(inj))
+	inj := Injection{Mode: InjectDstLoad, Index: ck.points[1].LoadCands, Bit: 16}
+	if pt := ck.resumePoint(inj); pt != ck.points[1] {
+		t.Fatalf("resume point %+v, want the start of CTA 1, which holds the flip", pt.Key)
 	}
-	got := Run(job, Options{Inject: &inj, Fork: &Fork{Golden: ck, From: 0, Workspace: &Workspace{}}})
+	got := Run(job, Options{Inject: &inj, Fork: ck})
 	want := Run(job, Options{Inject: &inj})
 	if got.Joined || bytes.Equal(got.Output, g.Output) {
 		t.Fatal("forked run joined the golden run before its flip fired")

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"gpurel/internal/device"
@@ -57,11 +56,7 @@ const VoteKernelName = "vote"
 type GoldenRun struct {
 	Res *funcsim.Result
 
-	ck *funcsim.Checkpoints
-	// pool recycles the workspaces (device memory, CTA buffers) of forked
-	// runs, so a run restores only the pages that differ instead of cloning
-	// the whole memory image.
-	pool                  sync.Pool
+	ck                    *funcsim.Checkpoints
 	forks, joins, skipped atomic.Int64
 }
 
@@ -183,18 +178,8 @@ func (g *GoldenRun) budget() int64 { return g.Res.DynInstrs * 10 }
 // run executes one injection, forked from the last CTA start before the
 // flip and rejoining the golden run where it can.
 func (g *GoldenRun) run(job *device.Job, inj funcsim.Injection) *funcsim.Result {
-	ws, _ := g.pool.Get().(*funcsim.Workspace)
-	if ws == nil {
-		ws = new(funcsim.Workspace)
-	}
-	from := g.ck.ResumePoint(inj)
-	res := funcsim.Run(job, funcsim.Options{
-		MaxDynInstrs: g.budget(),
-		Inject:       &inj,
-		Fork:         &funcsim.Fork{Golden: g.ck, From: from, Workspace: ws},
-	})
-	g.pool.Put(ws)
-	if g.ck.Point(from).DynInstrs > 0 {
+	res := funcsim.Run(job, funcsim.Options{MaxDynInstrs: g.budget(), Inject: &inj, Fork: g.ck})
+	if res.Forked {
 		g.forks.Add(1)
 	}
 	if res.Joined {
