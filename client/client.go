@@ -243,9 +243,11 @@ func (c *Client) RunPoint(ctx context.Context) func(gpurel.PointSpec, campaign.O
 	}
 }
 
-// Lease requests a run-range lease from the coordinator. ok is false when
-// the coordinator has no pending work (HTTP 204) — the worker sleeps and
-// polls again.
+// Lease requests a run-range lease from the coordinator. The request is a
+// long poll: the coordinator holds it until there is work for this worker.
+// ok is false (HTTP 204) only once that hold, a third of the lease TTL, ran
+// out with nothing to grant, so the worker may ask again at once. A closed
+// coordinator answers 503, returned as an error.
 func (c *Client) Lease(ctx context.Context, req service.LeaseRequest) (ls service.Lease, ok bool, err error) {
 	code, err := c.do(ctx, http.MethodPost, "/v1/leases", req, &ls)
 	if err != nil {

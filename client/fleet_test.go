@@ -167,7 +167,9 @@ func TestFleetClientEndToEnd(t *testing.T) {
 		}
 		jobs[js.ID] = spec
 	}
-	for {
+	// A lease request is a long poll, so an empty backlog does not answer
+	// at once: stop once every submitted run has been reported.
+	for reported := 0; reported < 200; {
 		ls, ok, err := c.Lease(ctx, client.LeaseRequest{Worker: "e2e", RunsPerSec: 100})
 		if err != nil {
 			t.Fatalf("Lease: %v", err)
@@ -189,6 +191,7 @@ func TestFleetClientEndToEnd(t *testing.T) {
 		if !ack.Accepted {
 			t.Fatalf("report rejected: %+v", ack)
 		}
+		reported += ls.To - ls.From
 	}
 	for id, spec := range jobs {
 		js, err := c.WaitJob(ctx, id)

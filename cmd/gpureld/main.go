@@ -168,7 +168,15 @@ func main() {
 		log.Fatalf("gpureld: %v", err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched).Handler(coord.Mount, adv.Mount)}
+	// No WriteTimeout: NDJSON event streams and parked lease requests (held
+	// up to a third of the lease TTL) are long-lived responses that a write
+	// deadline would cut off.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           service.NewServer(sched).Handler(coord.Mount, adv.Mount),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

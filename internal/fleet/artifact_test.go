@@ -44,12 +44,12 @@ func TestFleetStatusArtifact(t *testing.T) {
 	// calibrated by the startup micro-burst, one with a declared rate.
 	startWorker(t, fleet.WorkerConfig{
 		ID: "art-a", Client: client.New(srv.URL), Source: synthSource(50 * time.Microsecond),
-		Chunk: 60, Workers: 2, Poll: 2 * time.Millisecond, Backoff: testBackoff,
+		Chunk: 60, Workers: 2, Backoff: testBackoff,
 		CalibrateRuns: 64, Caps: service.WorkerCaps{SnapMB: 256},
 	})
 	startWorker(t, fleet.WorkerConfig{
 		ID: "art-b", Client: client.New(srv.URL), Source: synthSource(50 * time.Microsecond),
-		Chunk: 60, Workers: 2, Poll: 2 * time.Millisecond, Backoff: testBackoff,
+		Chunk: 60, Workers: 2, Backoff: testBackoff,
 		Caps: service.WorkerCaps{RunsPerSec: 500, SnapMB: 128},
 	})
 

@@ -118,7 +118,7 @@ func runFleet(b testing.TB, source service.SourceFunc, spec service.JobSpec, n i
 	for i := 0; i < n; i++ {
 		_, stop := startBenchWorker(b, fleet.WorkerConfig{
 			Client: client.New(srv.URL), Source: source,
-			Chunk: 15, Workers: 1, Poll: time.Millisecond,
+			Chunk: 15, Workers: 1,
 		})
 		stops = append(stops, stop)
 	}

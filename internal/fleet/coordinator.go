@@ -2,10 +2,12 @@
 // worker fleet. The coordinator packages the scheduler's work ledger into
 // HTTP leases — run-ranges with heartbeat deadlines — that workers pull,
 // execute through the same deterministic campaign path, and report back
-// chunk by chunk. Because run i always draws from rand.NewSource(Seed+i)
-// and the scheduler's merge is idempotent by run-range, any interleaving of
-// local lanes, live workers, re-runs of expired leases — and, with the
-// journal enabled, a coordinator crash and restart mid-campaign — tallies
+// chunk by chunk. A lease request is a long poll: with nothing to grant it
+// parks until the ledger changes, so workers never sleep between requests.
+// Because run i always draws from rand.NewSource(Seed+i) and the
+// scheduler's merge is idempotent by run-range, any interleaving of local
+// lanes, live workers, re-runs of expired leases — and, with the journal
+// enabled, a coordinator crash and restart mid-campaign — tallies
 // bit-identically to one uninterrupted single-node campaign.
 //
 // Beyond leases the coordinator is the fleet control plane: a worker
@@ -15,6 +17,7 @@
 package fleet
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -43,6 +46,9 @@ type Backlog interface {
 	ReclaimWork(jobID string, from, to int) bool
 	// Tenants is the scheduler's per-tenant accounting for GET /v1/fleet.
 	Tenants() []service.TenantStatus
+	// Changed returns a channel closed at the next work-ledger change; a
+	// lease request with nothing to claim parks on it.
+	Changed() <-chan struct{}
 }
 
 // CoordinatorConfig sizes the lease protocol and the control plane.
@@ -65,7 +71,10 @@ type CoordinatorConfig struct {
 	// still amortizes the HTTP round-trip.
 	MinLeaseRuns int
 	// DegradedAfter is the heartbeat staleness (and recent-expiry window)
-	// past which a worker reads as degraded (default 2×LeaseTTL).
+	// past which a worker reads as degraded (default 2×LeaseTTL). A lease
+	// request with nothing to claim is held for min(LeaseTTL,
+	// DegradedAfter)/3 before it answers 204, so an idle worker's traffic
+	// keeps it inside this window.
 	DegradedAfter time.Duration
 	// JournalPath, when set, makes the control plane crash-recoverable:
 	// leases, registry, and counters persist there (atomic write-rename,
@@ -126,6 +135,13 @@ type Stats = service.LeaseStats
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	backlog Backlog
+	// hold is how long a lease request with nothing to claim stays parked
+	// before it answers 204: min(LeaseTTL, DegradedAfter)/3, the heartbeat
+	// cadence.
+	hold time.Duration
+	// handbacks counts claims returned because the requesting worker lacks
+	// the job's fault model (see park).
+	handbacks atomic.Int64
 
 	mu      sync.Mutex
 	leases  map[string]*lease
@@ -152,6 +168,7 @@ func NewCoordinator(b Backlog, cfg CoordinatorConfig) (*Coordinator, error) {
 		subs:    map[int]chan struct{}{},
 		done:    make(chan struct{}),
 	}
+	c.hold = min(c.cfg.LeaseTTL, c.cfg.DegradedAfter) / 3
 	if c.cfg.JournalPath != "" {
 		jf, err := loadJournal(c.cfg.JournalPath)
 		if err != nil {
@@ -170,7 +187,8 @@ func NewCoordinator(b Backlog, cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the loops and settles outstanding leases. Without a journal
+// Close stops the loops, releases parked lease requests, and settles
+// outstanding leases; later lease requests get 503. Without a journal
 // every open lease is requeued so a coordinator shutting down strands no
 // work; with one, leases stay in the journal instead — their workers may
 // outlive this process and resume reporting against the restarted
@@ -319,10 +337,12 @@ func jobModel(spec service.JobSpec) string {
 }
 
 // handleLease: POST /v1/leases — claim a run-range for the requesting
-// worker; 204 when the backlog has nothing pending (or the worker is
-// draining). The grant is capability-scored: workers that report a measured
-// throughput get TargetLeaseSec's worth of runs instead of the fixed
-// default.
+// worker. The request is a long poll: when there is nothing to grant it
+// parks (see park) and answers 204 only once the hold runs out, so a worker
+// that asks again at once never spins. Once the coordinator is closed,
+// parked and new requests alike get 503, and the worker backs off.
+// The grant is capability-scored: workers that report a measured throughput
+// get TargetLeaseSec's worth of runs instead of the fixed default.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req service.LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -335,15 +355,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
+	if c.closedLocked() {
+		c.mu.Unlock()
+		writeClosed(w)
+		return
+	}
 	e := c.touchWorkerLocked(req.Worker, now)
 	if req.RunsPerSec > 0 {
 		e.spec.Caps.RunsPerSec = req.RunsPerSec
-	}
-	if e.draining {
-		c.mu.Unlock()
-		c.dirty.Store(true)
-		w.WriteHeader(http.StatusNoContent)
-		return
 	}
 	max := c.leaseSizeLocked(e)
 	c.mu.Unlock()
@@ -352,18 +371,20 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		max = req.MaxRuns
 	}
 
-	wa, ok := c.backlog.ClaimWork(max)
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
+	wa, ok := c.park(r.Context(), e, max)
+	c.mu.Lock()
+	if c.closedLocked() {
+		// Close has already settled the lease table; a grant now would
+		// strand its runs.
+		c.mu.Unlock()
+		if ok {
+			c.backlog.ReturnWork(wa.JobID, wa.From, wa.To)
+		}
+		writeClosed(w)
 		return
 	}
-	c.mu.Lock()
-	if !supportsModel(c.workers[e.spec.Name], jobModel(wa.Spec)) {
-		// The worker's declared capability set excludes this job's fault
-		// model: hand the claim straight back and let a capable worker (or a
-		// local lane) take it.
+	if !ok {
 		c.mu.Unlock()
-		c.backlog.ReturnWork(wa.JobID, wa.From, wa.To)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -373,7 +394,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		worker:   e.spec.Name,
 		from:     wa.From,
 		to:       wa.To,
-		deadline: now.Add(c.cfg.LeaseTTL),
+		deadline: c.cfg.Now().Add(c.cfg.LeaseTTL),
 	}
 	c.leases[l.id] = l
 	c.stats.Granted++
@@ -388,6 +409,77 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		ls.Deprecation = service.LeaseDeprecationNote
 	}
 	writeJSON(w, http.StatusOK, ls)
+}
+
+// writeClosed answers a lease request on a closed coordinator.
+func writeClosed(w http.ResponseWriter) {
+	service.WriteError(w, http.StatusServiceUnavailable, service.ErrCodeUnavailable, "coordinator is shutting down")
+}
+
+// closedLocked reports whether Close or Kill has begun (c.mu held, so a
+// grant that sees false lands before Close settles the lease table).
+func (c *Coordinator) closedLocked() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// park claims work the worker can run, waiting for the backlog to change
+// while there is none, until the hold runs out, the request ends or the
+// coordinator closes (ok false). A draining worker claims nothing and waits
+// for its re-registration. A claim whose fault model the worker lacks goes
+// straight back to the backlog, for a capable worker or a local lane; the
+// request then waits past its own hand-back, and it ignores wake-ups that
+// may be another request's hand-back, so two such workers never wake each
+// other in a loop.
+func (c *Coordinator) park(ctx context.Context, e *workerEntry, max int) (service.WorkAssignment, bool) {
+	hold := time.NewTimer(c.hold)
+	defer hold.Stop()
+	var registry <-chan struct{} // fleet events, watched while draining
+	handbacks := int64(-1)       // handback count after our own, once we handed one back
+	for {
+		changed := c.backlog.Changed()
+		c.mu.Lock()
+		draining := e.draining
+		c.mu.Unlock()
+		if draining {
+			if registry == nil {
+				var unsub func()
+				registry, unsub = c.subscribe()
+				defer unsub()
+				continue // re-check: a re-registration may have slipped in
+			}
+			changed = nil
+		} else if n := c.handbacks.Load(); handbacks < 0 || n == handbacks {
+			wa, ok := c.backlog.ClaimWork(max)
+			if ok {
+				c.mu.Lock()
+				fits := supportsModel(e, jobModel(wa.Spec))
+				c.mu.Unlock()
+				if fits {
+					return wa, true
+				}
+				handbacks = c.handbacks.Add(1)
+				c.backlog.ReturnWork(wa.JobID, wa.From, wa.To)
+				changed = c.backlog.Changed()
+			}
+		} else {
+			handbacks = n
+		}
+		select {
+		case <-ctx.Done():
+			return service.WorkAssignment{}, false
+		case <-c.done:
+			return service.WorkAssignment{}, false
+		case <-hold.C:
+			return service.WorkAssignment{}, false
+		case <-changed:
+		case <-registry:
+		}
+	}
 }
 
 // handleReport: POST /v1/leases/{id}/report — merge one completed

@@ -144,7 +144,7 @@ func TestFleetKillWorkerBitIdentical(t *testing.T) {
 
 	wA, _ := startWorker(t, fleet.WorkerConfig{
 		ID: "worker-a", Client: client.New(proxyA.URL), Source: synthSource(500 * time.Microsecond),
-		Chunk: 100, Workers: 2, Poll: 5 * time.Millisecond, Backoff: testBackoff,
+		Chunk: 100, Workers: 2, Backoff: testBackoff,
 	})
 
 	// Let A merge at least one chunk of its first lease, then kill it
@@ -166,7 +166,7 @@ func TestFleetKillWorkerBitIdentical(t *testing.T) {
 	// remainder.
 	startWorker(t, fleet.WorkerConfig{
 		ID: "worker-b", Client: client.New(srv.URL), Source: synthSource(500 * time.Microsecond),
-		Chunk: 100, Workers: 2, Poll: 5 * time.Millisecond, Backoff: testBackoff,
+		Chunk: 100, Workers: 2, Backoff: testBackoff,
 	})
 
 	final := waitTerminal(t, sched, st.ID, 60*time.Second)
@@ -245,7 +245,7 @@ func TestFleetAdaptiveOutOfOrder(t *testing.T) {
 	for i, chunk := range []int{30, 100} {
 		startWorker(t, fleet.WorkerConfig{
 			ID: []string{"adaptive-a", "adaptive-b"}[i], Client: client.New(srv.URL), Source: src,
-			Chunk: chunk, Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+			Chunk: chunk, Workers: 1, Backoff: testBackoff,
 		})
 	}
 
@@ -277,7 +277,7 @@ func TestFleetDrainReturnsLease(t *testing.T) {
 	}
 	_, stop := startWorker(t, fleet.WorkerConfig{
 		ID: "drainer", Client: client.New(srv.URL), Source: synthSource(200 * time.Microsecond),
-		Chunk: 50, Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+		Chunk: 50, Workers: 1, Backoff: testBackoff,
 	})
 	// Let the worker claim and partially execute its big lease, then drain
 	// it gracefully.

@@ -101,7 +101,7 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	for i, id := range []string{"ka", "kb"} {
 		startWorker(t, fleet.WorkerConfig{
 			ID: id, Client: client.New(srv1.URL), Source: killResumeSource(300 * time.Microsecond),
-			Chunk: []int{40, 70}[i], Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+			Chunk: []int{40, 70}[i], Workers: 1, Backoff: testBackoff,
 		})
 	}
 
@@ -190,7 +190,7 @@ func TestCoordinatorKillResumeBitIdentical(t *testing.T) {
 	for _, id := range []string{"kc", "kd"} {
 		startWorker(t, fleet.WorkerConfig{
 			ID: id, Client: client.New(srv2.URL), Source: killResumeSource(0),
-			Chunk: 50, Workers: 1, Poll: time.Millisecond, Backoff: testBackoff,
+			Chunk: 50, Workers: 1, Backoff: testBackoff,
 		})
 	}
 

@@ -55,7 +55,7 @@ func TestFleetLegacyParity(t *testing.T) {
 		for _, id := range []string{"w1", "w2"} {
 			startWorker(t, fleet.WorkerConfig{
 				ID: id, Client: client.New(srv.URL), Source: source,
-				Chunk: 20, Workers: 2, Poll: 2 * time.Millisecond, Backoff: testBackoff,
+				Chunk: 20, Workers: 2, Backoff: testBackoff,
 			})
 		}
 		final := waitTerminal(t, sched, st.ID, 60*time.Second)

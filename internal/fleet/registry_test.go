@@ -189,10 +189,11 @@ func TestAdaptiveLeaseSizing(t *testing.T) {
 
 // TestCapabilityModelMatching: a worker whose declared fault models exclude
 // the job's model is not granted its work — the claim is returned for a
-// capable worker.
+// capable worker. The short TTL bounds the incapable worker's long poll
+// (hold = TTL/3) before it answers 204.
 func TestCapabilityModelMatching(t *testing.T) {
 	clk := newFakeClock()
-	sched, coord, srv := clockHarness(t, clk, fleet.CoordinatorConfig{LeaseRuns: 100, LeaseTTL: time.Hour})
+	sched, coord, srv := clockHarness(t, clk, fleet.CoordinatorConfig{LeaseRuns: 100, LeaseTTL: 300 * time.Millisecond})
 	c := client.New(srv.URL)
 	ctx := context.Background()
 

@@ -34,9 +34,6 @@ type WorkerConfig struct {
 	Workers int
 	// MaxRuns caps the lease size requested (0 = coordinator default).
 	MaxRuns int
-	// Poll is the idle sleep between lease requests when the coordinator
-	// has no work (default 250ms).
-	Poll time.Duration
 	// Backoff schedules HTTP retries (zero value = client defaults:
 	// 5 tries, 100ms base, 5s cap, full jitter).
 	Backoff client.Backoff
@@ -63,9 +60,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Poll <= 0 {
-		c.Poll = 250 * time.Millisecond
 	}
 	return c
 }
@@ -128,9 +122,12 @@ func (w *Worker) observeThroughput(runs int, elapsed time.Duration) {
 // Run pulls and executes leases until ctx ends (the drain path: any open
 // lease's unexecuted remainder is returned to the coordinator and the
 // worker announces its departure) or the coordinator stays unreachable past
-// the retry budget. At startup the worker calibrates its throughput (when
-// configured) and registers its capability report — best-effort, so it
-// still interoperates with coordinators predating the registry.
+// the retry budget. A lease request is a long poll: the coordinator holds
+// it until there is work, and a 204 arrives only after its hold, so the
+// worker asks again at once without sleeping. At startup the worker
+// calibrates its throughput (when configured) and registers its capability
+// report — best-effort, so it still interoperates with coordinators
+// predating the registry.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.cfg.Caps.RunsPerSec > 0 {
 		w.rps.Store(math.Float64bits(w.cfg.Caps.RunsPerSec))
@@ -158,15 +155,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			return fmt.Errorf("fleet worker %s: coordinator unreachable: %w", w.cfg.ID, err)
 		}
-		if !granted {
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(w.cfg.Poll):
-			}
-			continue
+		if granted {
+			w.execute(ctx, ls)
 		}
-		w.execute(ctx, ls)
 	}
 }
 

@@ -38,14 +38,19 @@ type claimCandidate struct {
 	idx    int // submission order
 }
 
-// claimPlan snapshots the eligible jobs grouped per tenant, in service
-// order, and settles the vtime table (s.mu held).
-func (s *Scheduler) claimPlanLocked() []string {
+// claimPlanLocked snapshots the live jobs grouped per tenant, tenants in
+// service order and each tenant's jobs in within-tenant service order
+// (priority descending, then submission order), and settles the vtime table
+// (s.mu held). It walks only the live index, so a claim costs the same
+// however many finished jobs the table still lists.
+func (s *Scheduler) claimPlanLocked() [][]claimCandidate {
+	s.liveMu.Lock()
+	live := append([]*job(nil), s.live...)
+	s.liveMu.Unlock()
 	// Tenants with a non-terminal job, first-seen (submission) order.
-	active := map[string]bool{}
+	byTenant := map[string][]claimCandidate{}
 	var tenants []string
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for idx, j := range live {
 		// Lock order: s.mu before j.mu. Nothing takes s.mu while holding
 		// j.mu (chargeClaim runs after the job unlock for exactly this
 		// reason), so the brief nested acquisition here is safe. The state
@@ -56,14 +61,17 @@ func (s *Scheduler) claimPlanLocked() []string {
 		if terminal {
 			continue
 		}
-		if t := j.spec.tenantName(); !active[t] {
-			active[t] = true
+		t := j.spec.tenantName()
+		if _, ok := byTenant[t]; !ok {
 			tenants = append(tenants, t)
 		}
+		byTenant[t] = append(byTenant[t], claimCandidate{
+			j: j, tenant: t, weight: j.spec.weight(), prio: j.spec.weight(), idx: idx,
+		})
 	}
 	// Prune virtual time of tenants that no longer own any non-terminal job.
 	for t := range s.vtime {
-		if !active[t] {
+		if _, ok := byTenant[t]; !ok {
 			delete(s.vtime, t)
 		}
 	}
@@ -87,45 +95,30 @@ func (s *Scheduler) claimPlanLocked() []string {
 		}
 		return tenants[i] < tenants[k]
 	})
-	return tenants
-}
-
-// tenantJobsLocked lists a tenant's jobs in within-tenant service order:
-// priority descending, then submission order (s.mu held).
-func (s *Scheduler) tenantJobsLocked(tenant string) []claimCandidate {
-	var cands []claimCandidate
-	for idx, id := range s.order {
-		j := s.jobs[id]
-		if j.spec.tenantName() != tenant {
-			continue
-		}
-		cands = append(cands, claimCandidate{
-			j: j, tenant: tenant, weight: j.spec.weight(), prio: j.spec.weight(), idx: idx,
+	plan := make([][]claimCandidate, 0, len(tenants))
+	for _, t := range tenants {
+		cands := byTenant[t]
+		sort.SliceStable(cands, func(i, k int) bool {
+			if cands[i].prio != cands[k].prio {
+				return cands[i].prio > cands[k].prio
+			}
+			return cands[i].idx < cands[k].idx
 		})
+		plan = append(plan, cands)
 	}
-	sort.SliceStable(cands, func(i, k int) bool {
-		if cands[i].prio != cands[k].prio {
-			return cands[i].prio > cands[k].prio
-		}
-		return cands[i].idx < cands[k].idx
-	})
-	return cands
+	return plan
 }
 
 // ClaimWork hands out up to max runs from the fair-share winner among jobs
 // with unclaimed work, flipping queued jobs to running. ok is false when no
 // job has pending work — the caller (a fleet coordinator granting a lease)
-// answers 204 and the worker polls again.
+// parks the request on Changed and claims again.
 func (s *Scheduler) ClaimWork(max int) (WorkAssignment, bool) {
 	if s.closed.Load() {
 		return WorkAssignment{}, false
 	}
 	s.mu.Lock()
-	tenants := s.claimPlanLocked()
-	plan := make([][]claimCandidate, 0, len(tenants))
-	for _, t := range tenants {
-		plan = append(plan, s.tenantJobsLocked(t))
-	}
+	plan := s.claimPlanLocked()
 	s.mu.Unlock()
 
 	for _, cands := range plan {

@@ -14,7 +14,7 @@ import (
 //
 // Protocol summary (served by fleet.Coordinator, mounted on the /v1 mux):
 //
-//	POST   /v1/leases                 LeaseRequest -> 200 Lease | 204 no work
+//	POST   /v1/leases                 LeaseRequest -> 200 Lease | 204 no work (after a hold) | 503 closed
 //	POST   /v1/leases/{id}/report     LeaseReport  -> 200 LeaseAck | 410 gone
 //	POST   /v1/leases/{id}/heartbeat  -> 204 | 410 gone
 //	DELETE /v1/leases/{id}            return unexecuted remainder -> 204

@@ -78,6 +78,7 @@ func (s *Scheduler) report(j *job, from, to int, tl campaign.Tally, dForks, dCon
 	defer func() {
 		j.mu.Unlock()
 		s.dirty.Store(true)
+		s.signal()
 	}()
 	j.forks += dForks
 	j.converges += dConverges
@@ -161,4 +162,7 @@ func (s *Scheduler) ReturnWork(jobID string, from, to int) {
 		}
 	}
 	s.dirty.Store(true)
+	if len(give) > 0 {
+		s.signal()
+	}
 }

@@ -86,11 +86,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// starvedPoll is how often a lane re-checks a job whose pending list is
-// empty but whose claimed/stashed work (held by fleet leases) is still
-// outstanding.
-const starvedPoll = 25 * time.Millisecond
-
 // errQueueFull marks a submission rejected because the job's lane backlog is
 // at capacity; the API maps it to 429 + ErrCodeQueueFull.
 var errQueueFull = errors.New("job queue full")
@@ -102,10 +97,20 @@ type Scheduler struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*job
-	order []string // submission order, for listing and within-tenant fairness
+	order []string // submission order, for listing and the journal
 	// vtime is the weighted fair-share virtual time per active tenant — see
 	// fairshare.go.
 	vtime map[string]float64
+
+	// liveMu guards live, the non-terminal jobs in submission order that
+	// ClaimWork plans from (fairshare.go). It is taken last: under s.mu or
+	// j.mu, never while acquiring either.
+	liveMu sync.Mutex
+	live   []*job
+
+	// changed is closed and replaced at every work-ledger change (see
+	// Changed).
+	changed atomic.Pointer[chan struct{}]
 
 	queues []chan *job
 	ctx    context.Context
@@ -132,6 +137,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
+	ch := make(chan struct{})
+	s.changed.Store(&ch)
 	for i := range s.queues {
 		s.queues[i] = make(chan *job, cfg.QueueDepth)
 	}
@@ -168,6 +175,9 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 			}
 			s.jobs[j.id] = j
 			s.order = append(s.order, j.id)
+			if !j.state.Terminal() {
+				s.live = append(s.live, j)
+			}
 		}
 	}
 
@@ -188,6 +198,31 @@ func (s *Scheduler) Metrics() *Metrics { return s.metrics }
 // (GET /v1/jobs/{id}/events) use it to end promptly so HTTP shutdown does
 // not wait out their clients.
 func (s *Scheduler) Done() <-chan struct{} { return s.ctx.Done() }
+
+// Changed returns a channel that is closed at the next change of the work
+// ledger: a submission, a returned or expired range, a merged report, a
+// cancellation, or Close. Take it before looking at the ledger, so that a
+// change between the look and the wait is not missed. Idle lanes and parked
+// fleet lease requests wait on it instead of polling.
+func (s *Scheduler) Changed() <-chan struct{} { return *s.changed.Load() }
+
+// signal wakes every waiter on Changed.
+func (s *Scheduler) signal() {
+	ch := make(chan struct{})
+	close(*s.changed.Swap(&ch))
+}
+
+// dropLive removes a job from the live index.
+func (s *Scheduler) dropLive(j *job) {
+	s.liveMu.Lock()
+	for i, lj := range s.live {
+		if lj == j {
+			s.live = append(s.live[:i], s.live[i+1:]...)
+			break
+		}
+	}
+	s.liveMu.Unlock()
+}
 
 // enqueue places a job on its lane. Must only be called with the job
 // already in (or being added to) the table.
@@ -215,16 +250,21 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	s.liveMu.Lock()
+	s.live = append(s.live, j)
+	s.liveMu.Unlock()
 	s.mu.Unlock()
 	if !s.enqueue(j) {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
+		s.dropLive(j)
 		return JobStatus{}, fmt.Errorf("%w (depth %d)", errQueueFull, s.cfg.QueueDepth)
 	}
 	s.metrics.jobsSubmitted.Add(1)
 	s.dirty.Store(true)
+	s.signal()
 	return j.snapshot(), nil
 }
 
@@ -276,6 +316,7 @@ func (s *Scheduler) Cancel(id string) (JobStatus, bool) {
 	st := j.snapshotLocked()
 	j.mu.Unlock()
 	s.dirty.Store(true)
+	s.signal()
 	return st, true
 }
 
@@ -366,6 +407,9 @@ func (s *Scheduler) runJob(j *job) {
 	opts := campaign.Options{Runs: spec.Runs, Seed: spec.Seed, Workers: s.cfg.WorkersPerShard}
 
 	for {
+		// Taken before the claim below so no ledger change can slip between
+		// a failed claim and the wait on it.
+		changed := s.Changed()
 		// Drain: stop between chunks, park the job for resume.
 		if s.ctx.Err() != nil {
 			j.mu.Lock()
@@ -402,11 +446,11 @@ func (s *Scheduler) runJob(j *job) {
 		if !ok {
 			// Nothing left to claim. Either the job is finishing (its last
 			// reports are in flight from fleet leases) or it is fully
-			// leased out — wait for reports or lease expiry to refill
-			// pending, then re-check.
+			// leased out — wait for the report that completes it or the
+			// lease expiry that refills pending, then re-check.
 			select {
 			case <-s.ctx.Done():
-			case <-time.After(starvedPoll):
+			case <-changed:
 			}
 			continue
 		}
@@ -437,6 +481,7 @@ func (s *Scheduler) runJob(j *job) {
 
 // finishLocked moves a job to a terminal state (j.mu held).
 func (s *Scheduler) finishLocked(j *job, st JobState, errmsg string) {
+	s.dropLive(j)
 	j.state = st
 	j.errmsg = errmsg
 	j.finished = s.cfg.Now()
@@ -515,6 +560,7 @@ func (s *Scheduler) Close() error {
 		return nil
 	}
 	s.cancel()
+	s.signal()
 	s.wg.Wait()
 	return s.Flush()
 }
